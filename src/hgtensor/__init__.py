@@ -9,7 +9,6 @@ bound with a nonnegative-tensor power iteration.
 
 from hgtensor import errors
 from hgtensor.hypergraph import Hypergraph, WeightedHypergraph, uniform_weights
-from hgtensor.kernels import BACKEND as KERNEL_BACKEND
 from hgtensor.polynomial import Polynomial
 from hgtensor.spectral import (
     DegreeReport,
@@ -49,7 +48,6 @@ __all__ = [
     "DegreeReport",
     "EigenResult",
     "Hypergraph",
-    "KERNEL_BACKEND",
     "Polynomial",
     "SpecialVertex",
     "SymSparseTensor",

@@ -42,6 +42,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _fail(exc: Exception) -> int:
     print(f"error={type(exc).__name__}", file=sys.stderr)
     print(f"detail={exc}", file=sys.stderr)
@@ -172,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="largest H-eigenvalue vs the degree bound")
     p.add_argument("input", help="hyperedge list file, or - for stdin")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--max-iter", type=_positive_int, default=100_000)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("reconstruct", help="recover the hypergraph from a COO file")

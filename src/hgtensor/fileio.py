@@ -131,6 +131,8 @@ def parse_tensor(text: str) -> tuple[SymSparseTensor, int]:
                 )
             except ValueError:
                 raise ParseError(lineno, "order, dim and n must be integers")
+            if order < 1 or dim < 1:
+                raise ParseError(lineno, "order and dim must be positive")
             continue
         tokens = line.split()
         if len(tokens) != order + 1:

@@ -1,26 +1,34 @@
-"""Kernel backend selection.
+"""The sparse symmetric tensor-vector product A x^{k-1}, in NumPy.
 
-The compiled Cython kernel is preferred when it was built; otherwise the
-NumPy fallback is used.  Set HGTENSOR_PURE_PYTHON=1 to force the
-fallback (benchmarking, debugging).
+This is the only inner loop of the power iteration; it operates on the
+canonical square-free COO arrays prepared by the spectral module.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
-if os.environ.get("HGTENSOR_PURE_PYTHON"):
-    from hgtensor import _kernels_py as _impl
+import numpy as np
 
-    BACKEND = "python"
-else:
-    try:
-        from hgtensor import _kernels as _impl  # type: ignore[no-redef]
 
-        BACKEND = "cython"
-    except ImportError:
-        from hgtensor import _kernels_py as _impl  # type: ignore[no-redef]
+def apply_coords(
+    indices: np.ndarray, values: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """y_i = sum over canonical tuples containing i of v*(k-1)!*prod_others(x).
 
-        BACKEND = "python"
-
-apply_coords = _impl.apply_coords
+    ``indices`` is the (nnz, k) array of 0-based canonical tuples, each
+    with k distinct entries; ``values`` the matching float values.
+    """
+    nnz, k = indices.shape
+    out = np.zeros(x.shape[0], dtype=np.float64)
+    if nnz == 0:
+        return out
+    scale = float(math.factorial(k - 1))
+    cols = [x[indices[:, l]] for l in range(k)]
+    for m in range(k):
+        contrib = values * scale
+        for l in range(k):
+            if l != m:
+                contrib = contrib * cols[l]
+        np.add.at(out, indices[:, m], contrib)
+    return out

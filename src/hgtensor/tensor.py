@@ -36,7 +36,7 @@ from hgtensor.errors import (
 )
 from hgtensor.hypergraph import Hypergraph
 from hgtensor.polynomial import Polynomial
-from hgtensor.uniformise import default_coefficients
+from hgtensor.uniformise import _prepare
 
 DENSE_LIMIT = 1_000_000
 
@@ -200,15 +200,7 @@ def php_polynomials(
     special vertex k (slot n + k).  The multiplication by y^k happens
     even when layer k+1 is empty, so each R_k is homogeneous of degree k.
     """
-    k_max = _require_buildable(h)
-    if coeffs is None:
-        cs = default_coefficients(k_max)
-    else:
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != k_max:
-            raise ValueError(f"need {k_max} coefficients, got {len(cs)}")
-        if any(c <= 0 for c in cs):
-            raise ValueError("coefficients must be positive")
+    k_max, cs = _prepare(h, coeffs)
     nvars = h.n + k_max - 1
     layers = h.layers()
     ps = [

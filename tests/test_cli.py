@@ -148,6 +148,14 @@ def test_spectral_no_convergence_reports_bracket(tmp_path, capsys):
     assert "lambda_min=" in err and "lambda_max=" in err
 
 
+def test_spectral_rejects_non_positive_max_iter(tmp_path, capsys):
+    src = write(tmp_path, "ex.hg", EXAMPLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", src, "--max-iter", "0"])
+    assert exc.value.code == 2
+    assert "--max-iter" in capsys.readouterr().err
+
+
 # --- reconstruct -------------------------------------------------------------
 
 
@@ -170,6 +178,13 @@ def test_reconstruct_malformed(tmp_path, capsys):
     code, out, err = run(capsys, "reconstruct", coo)
     assert code == 1
     assert "error=MalformedTensor" in err
+
+
+def test_reconstruct_non_positive_header(tmp_path, capsys):
+    coo = write(tmp_path, "zero.coo", "order=0 dim=0 n=0 format=canonical-coo\n")
+    code, out, err = run(capsys, "reconstruct", coo)
+    assert code == 1
+    assert "error=ParseError" in err and "detail=line 1: " in err
 
 
 def test_reconstruct_graph(tmp_path, capsys):

@@ -106,3 +106,5 @@ def test_tensor_header_validation():
         parse_tensor("order=2 dim=3 n=2 format=dense\n")
     with pytest.raises(ParseError):
         parse_tensor("order=x dim=3 n=2 format=canonical-coo\n")
+    with pytest.raises(ParseError, match="positive"):
+        parse_tensor("order=0 dim=0 n=0 format=canonical-coo\n")
