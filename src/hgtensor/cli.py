@@ -42,11 +42,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(kind, low):
+    """argparse type: ``kind(text)``, rejected unless >= ``low`` (NaN too)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _fail(exc: Exception) -> int:
@@ -178,8 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="largest H-eigenvalue vs the degree bound")
     p.add_argument("input", help="hyperedge list file, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=_positive_int, default=100_000)
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-10)
+    p.add_argument("--max-iter", type=_at_least(int, 1), default=100_000)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("reconstruct", help="recover the hypergraph from a COO file")

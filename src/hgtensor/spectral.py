@@ -9,17 +9,17 @@ the larger of the maximal original-vertex and special-vertex degrees;
 for an r-regular r-uniform hypergraph the bound is attained.
 
 ``largest_h_eigenvalue`` runs a nonnegative-tensor power iteration on
-the diagonally shifted tensor A + sigma*I (H-eigenpairs shift by exactly
-sigma, which is subtracted back).  The shift keeps the iterate positive
-and damps alternating modes; see the function docstring for the two
-stopping rules.
+the shifted tensor A + I (H-eigenpairs shift by exactly 1, which is
+subtracted back); any positive shift makes the iteration primitive.  The
+iterate is normalised to max 1, so its entries stay of order 1 at every
+dimension; see the function docstring for the two stopping rules.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -79,36 +79,21 @@ def degrees_from_tensor(t: SymSparseTensor, n: int) -> DegreeReport:
     Each canonical entry is validated against the layered pattern
     (MalformedTensor otherwise).  A slot's degree is the sum of the
     tensor over all tuples starting with that slot; sparsely, every
-    canonical square-free tuple contributes (k-1)! * value to each of
-    its k slots.  The fully-diagonal tuples excluded by that row-sum
-    identity are always zero here, so no special casing is needed.
+    canonical square-free tuple contributes (k-1)! * value = 1 to each of
+    its k slots, so a degree counts the entries holding the slot.  y_j is
+    held by the edges of size <= j, so successive differences of
+    (0, d_y1, ..., d_y{k-1}, |E|) are the layer counts.
     """
     k = t.order
     if n < 1 or t.dim != n + k - 1:
         raise MalformedTensor(
             f"dimension {t.dim} incompatible with n={n} and order {k}"
         )
-    weight = math.factorial(k - 1)
-    sums = [Fraction(0)] * t.dim
     for tup, value in t.entries.items():
         _split_entry(tup, value, n, k)
-        for i in tup:
-            sums[i - 1] += weight * value
-    degrees = tuple(int(s) for s in sums)
-
-    m = t.nnz
-    specials = degrees[n:]
-    if any(a > b for a, b in zip(specials, specials[1:])):
-        raise MalformedTensor("special-vertex degrees are not cumulative")
-    if k == 1:
-        layer_counts: tuple[int, ...] = (m,)
-    else:
-        counts = [specials[0]]
-        counts += [specials[j] - specials[j - 1] for j in range(1, k - 1)]
-        counts.append(m - specials[-1])
-        layer_counts = tuple(counts)
-    if any(c < 0 for c in layer_counts):
-        raise MalformedTensor("negative layer count")
+    degrees = tuple(np.bincount(_flat_indices(t), minlength=t.dim + 1)[1:].tolist())
+    cumulative = (0, *degrees[n:], t.nnz)
+    layer_counts = tuple(b - a for a, b in zip(cumulative, cumulative[1:]))
     return DegreeReport(n, k, degrees, layer_counts)
 
 
@@ -117,20 +102,26 @@ def spectral_bound(report: DegreeReport) -> int:
     return max(report.delta, report.delta_star)
 
 
+def _flat_indices(t: SymSparseTensor) -> np.ndarray:
+    """Every entry's 1-based index tuple, concatenated in entry order."""
+    return np.fromiter(
+        itertools.chain.from_iterable(t.entries), np.int64, t.nnz * t.order
+    )
+
+
 def _coords(t: SymSparseTensor) -> tuple[np.ndarray, np.ndarray]:
     """Canonical entries as 0-based COO arrays; square-free tuples only."""
-    items = t.canonical_items()
-    indices = np.empty((len(items), t.order), dtype=np.int64)
-    values = np.empty(len(items), dtype=np.float64)
-    for row, (tup, value) in enumerate(items):
-        if len(set(tup)) != len(tup):
-            raise UnexpectedRepeatedIndex(
-                f"entry {tup} repeats an index; the sparse product "
-                "only supports square-free tensors"
-            )
-        indices[row] = [i - 1 for i in tup]
-        values[row] = float(value)
-    return np.ascontiguousarray(indices), values
+    indices = _flat_indices(t).reshape(t.nnz, t.order) - 1
+    # Canonical tuples are non-decreasing, so a repeat is an equal neighbour.
+    repeated = np.flatnonzero((indices[:, 1:] == indices[:, :-1]).any(axis=1))
+    if repeated.size:
+        tup = tuple((indices[repeated[0]] + 1).tolist())
+        raise UnexpectedRepeatedIndex(
+            f"entry {tup} repeats an index; the sparse product "
+            "only supports square-free tensors"
+        )
+    values = np.fromiter(t.entries.values(), dtype=np.float64, count=t.nnz)
+    return indices, values
 
 
 def apply(t: SymSparseTensor, x) -> np.ndarray:
@@ -149,15 +140,15 @@ def largest_h_eigenvalue(
     t: SymSparseTensor,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    shift: float | None = None,
+    shift: float = 1.0,
     residual_tol: float = 1e-12,
 ) -> EigenResult:
     """Largest H-eigenvalue of a nonnegative symmetric tensor.
 
-    Power iteration x <- (A x^{k-1} + sigma * x^{[k-1]})^{[1/(k-1)]},
-    renormalized to unit 1-norm, with sigma = 1 + max row sum by default
+    Power iteration x <- (A x^{k-1} + sigma * x^{[k-1]})^{[1/(k-1)]} from
+    x = (1, ..., 1), renormalised to max 1, with sigma = ``shift``
     (H-eigenvalues of the shifted tensor are exactly lambda + sigma, so
-    the shift is subtracted without error).  Two stopping rules:
+    the shift is subtracted without error; Ng-Qi-Zhou 2009).  Two rules:
 
     * Perron bracket: the component-wise ratios y_i / x_i^{k-1} bracket
       the shifted eigenvalue; converged when max - min < ``tol``.
@@ -169,23 +160,24 @@ def largest_h_eigenvalue(
       their own eigenvalue, while their components (and hence the
       residual) decay geometrically.
 
-    Raises NoConvergence with the last bracket if ``max_iter`` is hit.
+    Returns the vector at unit 1-norm.  Raises ValueError for max_iter < 1,
+    a tolerance not >= 0 (NaN included) or a shift not > 0, and
+    NoConvergence with the last bracket if ``max_iter`` is hit.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (tol >= 0 and residual_tol >= 0 and shift > 0):
+        raise ValueError(f"need tol, residual_tol >= 0 and shift > 0, got "
+                         f"{tol}, {residual_tol}, {shift}")
     if t.order < 2:
         raise OrderTooSmall("the eigensolver needs a tensor of order >= 2")
-    if any(v < 0 for v in t.entries.values()):
-        raise ValueError("tensor must be nonnegative")
     k = t.order
-    d = t.dim
     indices, values = _coords(t)
+    # signbit also catches a negative value too small to survive as a float.
+    if np.signbit(values).any():
+        raise ValueError("tensor must be nonnegative")
 
-    row_sums = kernels.apply_coords(indices, values, np.ones(d))
-    if shift is None:
-        shift = 1.0 + float(row_sums.max(initial=0.0))
-    if shift <= 0:
-        raise ValueError("shift must be positive")
-
-    x = np.full(d, 1.0 / d)
+    x = np.ones(t.dim)
     root = 1.0 / (k - 1)
     lam_lo = lam_hi = math.nan
     for iteration in range(1, max_iter + 1):
@@ -204,5 +196,5 @@ def largest_h_eigenvalue(
             return EigenResult(lam, x / x.sum(), iteration, residual)
 
         x = y**root
-        x /= x.sum()
+        x /= x.max()
     raise NoConvergence(lam_lo, lam_hi, max_iter)

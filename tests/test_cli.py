@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hgtensor
 from hgtensor.cli import main
 
 EXAMPLE = "v1\nv1 v2\nv2 v3 v4\n"
+# Child interpreters import the same hgtensor as this one.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(hgtensor.__file__).parent.parent))
 
 
 def run(capsys, *argv):
@@ -150,10 +155,11 @@ def test_spectral_no_convergence_reports_bracket(tmp_path, capsys):
 
 def test_spectral_rejects_non_positive_max_iter(tmp_path, capsys):
     src = write(tmp_path, "ex.hg", EXAMPLE)
-    with pytest.raises(SystemExit) as exc:
-        main(["spectral", src, "--max-iter", "0"])
-    assert exc.value.code == 2
-    assert "--max-iter" in capsys.readouterr().err
+    for option, value in (("--max-iter", "0"), ("--tol", "-1"), ("--tol", "nan")):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral", src, option, value])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
 
 
 # --- reconstruct -------------------------------------------------------------
@@ -245,6 +251,7 @@ def test_stdin_input():
         input=EXAMPLE,
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "bound=2" in proc.stdout
@@ -255,6 +262,7 @@ def test_console_entry_point_help():
         [sys.executable, "-m", "hgtensor", "--help"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     for name in ("build", "stats", "spectral", "reconstruct", "uniformise"):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgtensor import (
     DegreeReport,
@@ -15,6 +17,7 @@ from hgtensor import (
     build_e_adjacency,
     degrees_from_tensor,
     largest_h_eigenvalue,
+    reconstruct,
     spectral_bound,
     to_dense,
 )
@@ -31,9 +34,10 @@ EXAMPLE = Hypergraph(4, ((1,), (1, 2), (2, 3, 4)))
 C3 = Hypergraph(3, ((1, 2), (2, 3), (1, 3)))
 
 
-def direct_report(h: Hypergraph) -> DegreeReport:
-    """Oracle: degrees and layer counts counted on the hypergraph itself."""
-    k_max = h.range()
+def direct_report(h: Hypergraph, k_max: int | None = None) -> DegreeReport:
+    """Oracle: degrees and layer counts counted on the hypergraph itself,
+    for a tensor of order ``k_max`` (default: the range of ``h``)."""
+    k_max = k_max or h.range()
     degrees = list(h.degrees())
     for level in range(1, k_max):
         degrees.append(sum(1 for e in h.edges if len(e) <= level))
@@ -89,6 +93,48 @@ def test_degrees_rejects_malformed():
         degrees_from_tensor(t, 3)
     with pytest.raises(MalformedTensor):
         degrees_from_tensor(SymSparseTensor(3, 6, {(5, 6, 6): Fraction(1, 2)}), 4)
+
+
+@st.composite
+def maybe_corrupted_tensors(draw):
+    """A small hypergraph's tensor, with at most one entry corrupted: one
+    index moved (the tuple staying non-decreasing) or the value changed."""
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1, max_size=4),
+                          min_size=1, max_size=8, unique=True))
+    t = build_e_adjacency(Hypergraph(n, tuple(tuple(sorted(e)) for e in edges)))
+    entries = dict(t.entries)
+    kind = draw(st.sampled_from(("none", "move", "value")))
+    if kind != "none":
+        tup = draw(st.sampled_from(sorted(entries)))
+        value = entries.pop(tup)
+        if kind == "move":
+            p = draw(st.integers(0, t.order - 1))
+            lo = tup[p - 1] if p > 0 else 1
+            hi = tup[p + 1] if p + 1 < t.order else t.dim
+            moves = [i for i in range(lo, hi + 1) if i != tup[p]]
+            if moves:
+                tup = tup[:p] + (draw(st.sampled_from(moves)),) + tup[p + 1 :]
+        else:
+            value = draw(st.fractions(-2, 2, max_denominator=30).filter(
+                lambda v: v != 0 and v != value))
+        entries[tup] = value
+    return n, SymSparseTensor(t.order, t.dim, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maybe_corrupted_tensors())
+def test_degrees_agree_with_reconstruction(case):
+    n, t = case
+    try:
+        h = reconstruct(t, n)
+    except MalformedTensor:
+        with pytest.raises(MalformedTensor):
+            degrees_from_tensor(t, n)
+        return
+    report = degrees_from_tensor(t, n)
+    assert report == direct_report(h, t.order)
+    assert np.allclose(apply(t, np.ones(t.dim)), report.degrees, atol=1e-12)
 
 
 # --- bound -------------------------------------------------------------------
@@ -164,6 +210,24 @@ def test_eigen_rejects_negative_values():
         largest_h_eigenvalue(t)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_iter": 0},
+        {"max_iter": -1},
+        {"tol": -1.0},
+        {"tol": float("nan")},
+        {"residual_tol": -1e-12},
+        {"residual_tol": float("nan")},
+        {"shift": 0.0},
+        {"shift": float("nan")},
+    ],
+)
+def test_eigen_rejects_bad_arguments(kwargs):
+    with pytest.raises(ValueError):
+        largest_h_eigenvalue(build_e_adjacency(C3), **kwargs)
+
+
 def test_eigen_no_convergence_carries_bracket():
     t = build_e_adjacency(EXAMPLE)
     with pytest.raises(NoConvergence) as exc:
@@ -188,6 +252,13 @@ def test_eigen_regular_uniform_equality():
         Hypergraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))),  # K4
         Hypergraph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))),  # C5
         Hypergraph(4, ((1, 2), (2, 3), (3, 4), (1, 4))),  # C4, bipartite
+        # 5-uniform 5-regular cycle {i, ..., i+4} mod n at dim 10^4, where a
+        # 1-norm-normalised iterate meets the absolute residual_tol at once
+        Hypergraph(
+            10_000,
+            tuple(tuple(sorted((i + j) % 10_000 + 1 for j in range(5)))
+                  for i in range(10_000)),
+        ),
     ]
     for h in cases:
         t = build_e_adjacency(h)
