@@ -131,7 +131,10 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     if t.order < 2:
         raise OrderTooSmall("spectral analysis needs range >= 2")
     result = largest_h_eigenvalue(t, tol=args.tol, max_iter=args.max_iter)
-    bound = spectral_bound(degrees_from_tensor(t, h.n))
+    # max(Delta, Delta*) from the edge list: Delta* is the degree of
+    # y_{k_max-1}, held by every edge below the top layer.
+    top = sum(1 for e in h.edges if len(e) == t.order)
+    bound = max(max(h.degrees()), len(h.edges) - top)
     print(f"lambda={result.eigenvalue:.17g}")
     print(f"bound={bound}")
     satisfied = result.eigenvalue <= bound + BOUND_SLACK

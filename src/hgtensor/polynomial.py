@@ -3,12 +3,18 @@
 Terms are stored as exponent vectors over a fixed variable universe
 (z^1..z^n followed by y^1..y^{k_max-1}); only what the homogenisation
 recursion needs is implemented.
+
+Exponent vectors are checked once, when a polynomial is built from
+outside input by the public constructor.  The arithmetic below derives
+its results from polynomials that already passed that check, so they
+are built through ``_derived``, which only drops zero coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 
 @dataclass(frozen=True)
@@ -25,12 +31,22 @@ class Polynomial:
                     f"exponent vector {exps} has length {len(exps)}, "
                     f"expected {self.nvars}"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if not all(map(isinstance, exps, repeat(int))) or min(exps, default=0) < 0:
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
             coeff = Fraction(coeff)
             if coeff != 0:
                 clean[exps] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _derived(
+        cls, nvars: int, terms: dict[tuple[int, ...], Fraction]
+    ) -> Polynomial:
+        """Wrap terms whose exponent vectors are valid by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> Polynomial:
@@ -45,11 +61,13 @@ class Polynomial:
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.nvars, terms)
+        return Polynomial._derived(self.nvars, terms)
 
     def scaled(self, c: Fraction | int) -> Polynomial:
         c = Fraction(c)
-        return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return Polynomial._derived(
+            self.nvars, {e: c * v for e, v in self.terms.items()}
+        )
 
     def times_var(self, var: int) -> Polynomial:
         """Multiply by the variable with 1-based index ``var``."""
@@ -59,14 +77,14 @@ class Polynomial:
         terms = {
             e[:i] + (e[i] + 1,) + e[i + 1:]: v for e, v in self.terms.items()
         }
-        return Polynomial(self.nvars, terms)
+        return Polynomial._derived(self.nvars, terms)
 
     def with_nvars(self, nvars: int) -> Polynomial:
         """Embed into a larger variable universe (pad exponents with zeros)."""
         if nvars < self.nvars:
             raise ValueError("cannot shrink the variable universe")
         pad = (0,) * (nvars - self.nvars)
-        return Polynomial(nvars, {e + pad: v for e, v in self.terms.items()})
+        return Polynomial._derived(nvars, {e + pad: v for e, v in self.terms.items()})
 
     def is_homogeneous(self, degree: int) -> bool:
         """True when every monomial has the given total degree (vacuous if zero)."""

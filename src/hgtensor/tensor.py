@@ -156,7 +156,8 @@ def tensor_to_polynomial(t: SymSparseTensor) -> Polynomial:
             exps[i - 1] += 1
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + permutation_count(tup) * value
-    return Polynomial(t.dim, terms)
+    # A stored index lies in 1..dim, so every exponent vector is valid.
+    return Polynomial._derived(t.dim, terms)
 
 
 def polynomial_to_tensor(p: Polynomial, order: int, dim: int) -> SymSparseTensor:
@@ -175,11 +176,11 @@ def polynomial_to_tensor(p: Polynomial, order: int, dim: int) -> SymSparseTensor
             raise NotHomogeneous(
                 f"monomial of degree {sum(exps)} in a degree-{order} polynomial"
             )
-        if any(e > 1 for e in exps):
+        if max(exps, default=0) > 1:
             raise UnexpectedRepeatedIndex(
                 f"monomial with repeated variable: exponents {exps}"
             )
-        tup = tuple(i + 1 for i, e in enumerate(exps) if e == 1)
+        tup = tuple(itertools.compress(range(1, len(exps) + 1), exps))
         entries[tup] = coeff / scale
     return SymSparseTensor(order, dim, entries)
 

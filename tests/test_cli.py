@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import hgtensor
+from hgtensor import build_e_adjacency, degrees_from_tensor, spectral_bound
 from hgtensor.cli import main
+from tests.gen import corpus
 
 EXAMPLE = "v1\nv1 v2\nv2 v3 v4\n"
 # Child interpreters import the same hgtensor as this one.
@@ -136,6 +138,17 @@ def test_spectral_worked_example_respects_bound(tmp_path, capsys):
     got = fields(out)
     assert float(got["lambda"]) <= 2 + 1e-6
     assert got["bound_satisfied"] == "true"
+
+
+def test_spectral_bound_matches_tensor_degrees(tmp_path, capsys):
+    for i, h in enumerate(corpus()):
+        if h.range() < 2:
+            continue
+        text = "".join(" ".join(f"v{v}" for v in e) + "\n" for e in h.edges)
+        code, out, _ = run(capsys, "spectral", write(tmp_path, f"h{i}.hg", text))
+        assert code == 0
+        want = spectral_bound(degrees_from_tensor(build_e_adjacency(h), h.n))
+        assert fields(out)["bound"] == str(want)
 
 
 def test_spectral_rejects_order_1(tmp_path, capsys):

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from hgtensor import Polynomial
+from hgtensor import (
+    Hypergraph,
+    Polynomial,
+    build_e_adjacency,
+    php_polynomials,
+    tensor_to_polynomial,
+)
+from tests.gen import corpus
 
 
 def test_zero_coefficients_dropped():
@@ -17,10 +24,35 @@ def test_zero_coefficients_dropped():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        Polynomial(2, {(1,): Fraction(1)})
-    with pytest.raises(ValueError):
-        Polynomial(2, {(1, -1): Fraction(1)})
+    long_negative = (0,) * 2002 + (-1,)
+    for nvars, exps in [(2, (1,)), (2, (1, -1)), (2, (1, 1.5)), (2, (1, "1")),
+                        (2, (1, None)), (2003, long_negative)]:
+        with pytest.raises(ValueError):
+            Polynomial(nvars, {exps: Fraction(1)})
+
+
+def rebuilt_by_constructor(q: Polynomial) -> bool:
+    """A derived polynomial is one the public constructor would accept as is."""
+    return (Polynomial(q.nvars, q.terms).terms == q.terms
+            and all(type(c) is Fraction for c in q.terms.values()))
+
+
+def test_derived_results_pass_the_constructor():
+    p = Polynomial(3, {(1, 0, 0): 2, (0, 1, 1): Fraction(-1, 3)})
+    q = Polynomial(3, {(1, 0, 0): -2, (0, 0, 2): 5})
+    derived = [
+        p + q,
+        p + p.scaled(-1),
+        p.scaled(0),
+        p.scaled(Fraction(3, 4)),
+        p.times_var(2),
+        p.with_nvars(5),
+        tensor_to_polynomial(build_e_adjacency(Hypergraph(3, ((1,), (1, 3))))),
+    ]
+    assert derived[1].is_zero() and derived[2].is_zero()
+    assert all(rebuilt_by_constructor(r) for r in derived)
+    for h in corpus():
+        assert all(rebuilt_by_constructor(r) for r in php_polynomials(h))
 
 
 def test_addition_cancels():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -194,9 +195,34 @@ def test_eigen_single_pair_is_matrix_case():
 
 
 def test_eigen_single_3_edge_respects_bound():
+    # x = (1, 1, 1, 0, 0) solves x_j x_k = lambda x_i^2 with lambda = 1; the
+    # y1 and y2 slots are zero rows
     t = build_e_adjacency(Hypergraph(3, ((1, 2, 3),)))
     result = largest_h_eigenvalue(t)
-    assert result.eigenvalue <= 1 + 1e-8
+    assert abs(result.eigenvalue - 1.0) <= 1e-8
+    assert result.residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "h, expected",
+    [
+        # even cycle C6: bipartite, so the unshifted iteration is periodic
+        (Hypergraph(6, tuple((i, i % 6 + 1) for i in range(1, 7))), 2.0),
+        (Hypergraph(3, ((1, 2), (2, 3))), math.sqrt(2)),  # path P3
+        # K_{2,3}: graph spectral radius sqrt(2 * 3)
+        (Hypergraph(5, tuple((a, b) for a in (1, 2) for b in (3, 4, 5))),
+         math.sqrt(6)),
+        # {1,2}, {1,2,3}: slot y1 (no singleton edge) is a zero row; on the
+        # rest x1 = x2 = a, x3 = x_y2 = b gives 2b = lambda a and
+        # a^2 = lambda b^2, so lambda^3 = 4
+        (Hypergraph(3, ((1, 2), (1, 2, 3))), 4 ** (1 / 3)),
+    ],
+    ids=["C6", "P3", "K2,3", "zero-y1-row"],
+)
+def test_eigen_periodic_and_reducible_cases(h, expected):
+    result = largest_h_eigenvalue(build_e_adjacency(h))
+    assert abs(result.eigenvalue - expected) <= 1e-8
+    assert result.residual <= 1e-8
 
 
 def test_eigen_rejects_order_1():
