@@ -19,6 +19,7 @@ from hgtensor.spectral import (
     spectral_bound,
 )
 from hgtensor.tensor import (
+    LayeredTensor,
     SymSparseTensor,
     build_e_adjacency,
     edge_count_from_handshake,
@@ -48,6 +49,7 @@ __all__ = [
     "DegreeReport",
     "EigenResult",
     "Hypergraph",
+    "LayeredTensor",
     "Polynomial",
     "SpecialVertex",
     "SymSparseTensor",

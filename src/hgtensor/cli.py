@@ -12,10 +12,13 @@ import argparse
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from hgtensor import fileio
 from hgtensor.errors import (
     EmptyHypergraph,
     HgTensorError,
+    MalformedTensor,
     NoConvergence,
     OrderTooSmall,
     RepeatedHyperedge,
@@ -26,6 +29,7 @@ from hgtensor.spectral import (
     spectral_bound,
 )
 from hgtensor.tensor import (
+    LayeredTensor,
     build_e_adjacency,
     edge_count_from_handshake,
     reconstruct,
@@ -72,11 +76,27 @@ def _load_hypergraph(path: str) -> fileio.ParsedHypergraph:
     return parsed
 
 
+def _load_tensor(path: str, n: int | None) -> LayeredTensor:
+    """Read a COO file as a layered tensor over n (default: the header's).
+
+    A semantic error names the file line of its entry.  The parsed exact
+    entries are dropped on return, before the caller builds anything.
+    """
+    parsed = fileio.parse_tensor(_read(path))
+    try:
+        return LayeredTensor.from_sparse(parsed.tensor, parsed.n if n is None else n)
+    except MalformedTensor as exc:
+        if exc.entry is None:
+            raise
+        line = parsed.line_of(exc.entry)
+        raise MalformedTensor(f"line {line}: {exc}", exc.entry) from None
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     parsed = _load_hypergraph(args.input)
     h = parsed.hypergraph
     t = build_e_adjacency(h)
-    out = fileio.write_tensor(t, h.n, parsed.labels)
+    out = fileio.write_tensor(t, parsed.labels)
     if args.output == "-":
         sys.stdout.write(out)
     else:
@@ -97,9 +117,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     parsed = _load_hypergraph(args.input)
     h = parsed.hypergraph
     t = build_e_adjacency(h)
-    report = degrees_from_tensor(t, h.n)
+    report = degrees_from_tensor(t)
 
-    direct_counts = tuple(len(layer.edges) for layer in h.layers())
+    # Counted on the edge list, not the tensor, so the check stays independent.
+    sizes = np.fromiter(map(len, h.edges), np.int64, len(h.edges))
+    direct_counts = tuple(np.bincount(sizes, minlength=report.k_max + 1)[1:].tolist())
     degrees_ok = report.degrees[: h.n] == h.degrees()
     layers_ok = report.layer_counts == direct_counts
     handshake_ok = edge_count_from_handshake(t) == Fraction(len(h.edges))
@@ -145,9 +167,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    t, header_n = fileio.parse_tensor(_read(args.input))
-    n = args.n if args.n is not None else header_n
-    h = reconstruct(t, n)
+    h = reconstruct(_load_tensor(args.input, args.n))
     for e in h.edges:
         print(" ".join(str(v) for v in e))
     return 0

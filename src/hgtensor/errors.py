@@ -51,7 +51,14 @@ class UnexpectedRepeatedIndex(HgTensorError):
 
 
 class MalformedTensor(HgTensorError):
-    """Raised when a tensor is not a layered e-adjacency tensor."""
+    """Raised when a tensor is not a layered e-adjacency tensor.
+
+    Carries the offending canonical entry, when one entry is at fault.
+    """
+
+    def __init__(self, message: str, entry: tuple[int, ...] | None = None):
+        self.entry = entry
+        super().__init__(message)
 
 
 class DimensionMismatch(HgTensorError):

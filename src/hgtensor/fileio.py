@@ -11,7 +11,9 @@ Tensor files start with the header line
 followed by one line per canonical entry: the k non-decreasing 1-based
 indices, then the value as an exact rational ``p/q`` in lowest terms.
 Comment lines are skipped; writers emit the label map as comments for
-auditability.  parse(write(t)) round-trips exactly.
+auditability.  The writer takes a ``LayeredTensor``; the parser reads
+any such file into a ``SymSparseTensor`` and records each entry's line,
+so ``LayeredTensor.from_sparse`` of what it read round-trips exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from hgtensor.errors import ParseError
 from hgtensor.hypergraph import Hypergraph
-from hgtensor.tensor import SymSparseTensor
+from hgtensor.tensor import LayeredTensor, SymSparseTensor
 
 COO_FORMAT = "canonical-coo"
 
@@ -35,6 +37,16 @@ class ParsedHypergraph:
 
     def label_of(self, vertex: int) -> str:
         return self.labels[vertex - 1]
+
+
+@dataclass(frozen=True)
+class ParsedTensor:
+    tensor: SymSparseTensor
+    n: int
+    entry_lines: tuple[int, ...]  # file line of each entry, in entry order
+
+    def line_of(self, entry: tuple[int, ...]) -> int:
+        return self.entry_lines[list(self.tensor.entries).index(entry)]
 
 
 def _strip_comment(line: str) -> str:
@@ -91,21 +103,20 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
     return Fraction(p, q)
 
 
-def write_tensor(
-    t: SymSparseTensor, n: int, labels: tuple[str, ...] | None = None
-) -> str:
-    lines = [f"order={t.order} dim={t.dim} n={n} format={COO_FORMAT}"]
+def write_tensor(t: LayeredTensor, labels: tuple[str, ...] | None = None) -> str:
+    lines = [f"order={t.order} dim={t.dim} n={t.n} format={COO_FORMAT}"]
     if labels is not None:
         lines += [f"# label {i} = {lab}" for i, lab in enumerate(labels, start=1)]
-    for tup, value in t.canonical_items():
-        lines.append(" ".join(map(str, tup)) + " " + format_rational(value))
+    entry = " ".join(["%d"] * t.order) + f" {format_rational(t.value)}"
+    lines += [entry % tuple(row) for row in t.canonical_rows().tolist()]
     return "".join(line + "\n" for line in lines)
 
 
-def parse_tensor(text: str) -> tuple[SymSparseTensor, int]:
-    """Read a canonical COO file; returns the tensor and the header's n."""
+def parse_tensor(text: str) -> ParsedTensor:
+    """Read a canonical COO file: the tensor, the header's n, entry lines."""
     header: dict[str, str] | None = None
     entries: dict[tuple[int, ...], Fraction] = {}
+    entry_lines: list[int] = []
     order = dim = n = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -150,6 +161,7 @@ def parse_tensor(text: str) -> tuple[SymSparseTensor, int]:
         if tup in entries:
             raise ParseError(lineno, f"duplicate canonical entry {tup}")
         entries[tup] = _parse_rational(tokens[order], lineno)
+        entry_lines.append(lineno)
     if header is None:
         raise ParseError(1, "missing header line")
-    return SymSparseTensor(order, dim, entries), n
+    return ParsedTensor(SymSparseTensor(order, dim, entries), n, tuple(entry_lines))

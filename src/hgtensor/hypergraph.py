@@ -15,11 +15,16 @@ from typing import Iterable
 from hgtensor.errors import EmptyHypergraph, RepeatedHyperedge, UnknownVertex
 
 
+def _require_int(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 def _canonical_edge(vertices: Iterable[int], n: int) -> tuple[int, ...]:
     edge = tuple(sorted(set(vertices)))
     if not edge:
         raise ValueError("hyperedge must contain at least one vertex")
-    for v in edge:
+    for v in edge:  # inline: this runs once per vertex of every edge
         if not isinstance(v, int) or isinstance(v, bool):
             raise TypeError(f"vertex index must be an integer, got {v!r}")
     if edge[0] < 1 or edge[-1] > n:
@@ -42,6 +47,7 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...] = field(default=())
 
     def __post_init__(self):
+        _require_int(self.n, "vertex count")
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         canon = tuple(_canonical_edge(e, self.n) for e in self.edges)
@@ -68,7 +74,8 @@ class Hypergraph:
 
     def degree(self, v: int) -> int:
         """Number of hyperedges containing vertex v."""
-        if not isinstance(v, int) or v < 1 or v > self.n:
+        _require_int(v, "vertex index")
+        if v < 1 or v > self.n:
             raise UnknownVertex(f"vertex {v!r} is outside 1..{self.n}")
         return sum(1 for e in self.edges if v in e)
 

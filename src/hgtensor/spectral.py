@@ -17,21 +17,14 @@ dimension; see the function docstring for the two stopping rules.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from hgtensor import kernels
-from hgtensor.errors import (
-    DimensionMismatch,
-    MalformedTensor,
-    NoConvergence,
-    OrderTooSmall,
-    UnexpectedRepeatedIndex,
-)
-from hgtensor.tensor import SymSparseTensor, _split_entry
+from hgtensor.errors import DimensionMismatch, NoConvergence, OrderTooSmall
+from hgtensor.tensor import LayeredTensor, SymSparseTensor
 
 
 @dataclass(frozen=True)
@@ -73,28 +66,21 @@ class EigenResult:
     residual: float
 
 
-def degrees_from_tensor(t: SymSparseTensor, n: int) -> DegreeReport:
+def degrees_from_tensor(t: LayeredTensor) -> DegreeReport:
     """Row sums of the tensor, as exact per-slot degrees.
 
-    Each canonical entry is validated against the layered pattern
-    (MalformedTensor otherwise).  A slot's degree is the sum of the
-    tensor over all tuples starting with that slot; sparsely, every
-    canonical square-free tuple contributes (k-1)! * value = 1 to each of
-    its k slots, so a degree counts the entries holding the slot.  y_j is
-    held by the edges of size <= j, so successive differences of
+    A slot's degree is the sum of the tensor over all tuples starting
+    with that slot; every row is a square-free tuple of value 1/(k-1)!,
+    so it contributes (k-1)! * value = 1 to each of its k slots, and a
+    degree counts the rows holding the slot.  y_j is held by the edges
+    of size <= j, so successive differences of
     (0, d_y1, ..., d_y{k-1}, |E|) are the layer counts.
     """
-    k = t.order
-    if n < 1 or t.dim != n + k - 1:
-        raise MalformedTensor(
-            f"dimension {t.dim} incompatible with n={n} and order {k}"
-        )
-    for tup, value in t.entries.items():
-        _split_entry(tup, value, n, k)
-    degrees = tuple(np.bincount(_flat_indices(t), minlength=t.dim + 1)[1:].tolist())
+    n = t.n
+    degrees = tuple(np.bincount(t.rows.ravel(), minlength=t.dim + 1)[1:].tolist())
     cumulative = (0, *degrees[n:], t.nnz)
     layer_counts = tuple(b - a for a, b in zip(cumulative, cumulative[1:]))
-    return DegreeReport(n, k, degrees, layer_counts)
+    return DegreeReport(n, t.order, degrees, layer_counts)
 
 
 def spectral_bound(report: DegreeReport) -> int:
@@ -102,29 +88,7 @@ def spectral_bound(report: DegreeReport) -> int:
     return max(report.delta, report.delta_star)
 
 
-def _flat_indices(t: SymSparseTensor) -> np.ndarray:
-    """Every entry's 1-based index tuple, concatenated in entry order."""
-    return np.fromiter(
-        itertools.chain.from_iterable(t.entries), np.int64, t.nnz * t.order
-    )
-
-
-def _coords(t: SymSparseTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical entries as 0-based COO arrays; square-free tuples only."""
-    indices = _flat_indices(t).reshape(t.nnz, t.order) - 1
-    # Canonical tuples are non-decreasing, so a repeat is an equal neighbour.
-    repeated = np.flatnonzero((indices[:, 1:] == indices[:, :-1]).any(axis=1))
-    if repeated.size:
-        tup = tuple((indices[repeated[0]] + 1).tolist())
-        raise UnexpectedRepeatedIndex(
-            f"entry {tup} repeats an index; the sparse product "
-            "only supports square-free tensors"
-        )
-    values = np.fromiter(t.entries.values(), dtype=np.float64, count=t.nnz)
-    return indices, values
-
-
-def apply(t: SymSparseTensor, x) -> np.ndarray:
+def apply(t: LayeredTensor | SymSparseTensor, x) -> np.ndarray:
     """Multilinear product A x^{k-1}: component i sums value * x_{i_2}...x_{i_k}
     over all semantic tuples (i, i_2, ..., i_k)."""
     x = np.asarray(x, dtype=np.float64)
@@ -132,12 +96,12 @@ def apply(t: SymSparseTensor, x) -> np.ndarray:
         raise DimensionMismatch(
             f"vector of length {x.shape} against dimension {t.dim}"
         )
-    indices, values = _coords(t)
+    indices, values = t.coords()
     return kernels.apply_coords(indices, values, x)
 
 
 def largest_h_eigenvalue(
-    t: SymSparseTensor,
+    t: LayeredTensor | SymSparseTensor,
     tol: float = 1e-10,
     max_iter: int = 100_000,
     shift: float = 1.0,
@@ -172,7 +136,7 @@ def largest_h_eigenvalue(
     if t.order < 2:
         raise OrderTooSmall("the eigensolver needs a tensor of order >= 2")
     k = t.order
-    indices, values = _coords(t)
+    indices, values = t.coords()
     # signbit also catches a negative value too small to survive as a float.
     if np.signbit(values).any():
         raise ValueError("tensor must be nonnegative")

@@ -1,4 +1,4 @@
-"""Sparse symmetric tensors and the layered e-adjacency construction.
+"""The layered e-adjacency tensor, exact sparse tensors, both routes.
 
 A symmetric order-k tensor is stored by canonical (non-decreasing) index
 tuple; the value at an arbitrary tuple is the value at its sorted form.
@@ -9,15 +9,24 @@ contributes the single canonical entry
     (i_1, ..., i_j, n + j, ..., n + k_max - 1)  ->  1 / (k_max - 1)!
 
 i.e. the edge padded with the special vertices for its missing levels.
-Two independent routes build it: the direct padding formula above, and
-the polynomial homogenisation route (per-layer adjacency polynomials
-P_k, folded via R_{k+1} = R_k * y^k + c_{k+1} * P_{k+1} with dilatation
-coefficients c_j = k_max / j).  They agree entry for entry, and the
-construction is bijective: the hypergraph is recovered from the tensor
-with no ambiguity.
+Since every entry holds the same value, the tensor *is* its padded edge
+array: ``LayeredTensor`` stores the (|E|, k_max) integer array of those
+tuples, checked once with array operations when it is made, and answers
+degrees, the handshake total, reconstruction and the solver's COO arrays
+from it.  ``SymSparseTensor`` is the general exact container (a dict of
+``Fraction`` values): the homogenisation route, generic COO files and
+the exact oracles use it, and ``LayeredTensor.to_sparse`` /
+``LayeredTensor.from_sparse`` convert between the two.
 
-All values here are exact rationals; floating point enters only in the
-spectral module.
+Two independent routes build the tensor: the direct padding formula
+above, and the polynomial homogenisation route (per-layer adjacency
+polynomials P_k, folded via R_{k+1} = R_k * y^k + c_{k+1} * P_{k+1}
+with dilatation coefficients c_j = k_max / j).  They agree entry for
+entry, and the construction is bijective: the hypergraph is recovered
+from the tensor with no ambiguity.
+
+All values here are exact rationals; floating point enters only through
+``coords``, the solver's COO arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +35,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from hgtensor.errors import (
     MalformedTensor,
@@ -34,7 +45,7 @@ from hgtensor.errors import (
     NotUniform,
     UnexpectedRepeatedIndex,
 )
-from hgtensor.hypergraph import Hypergraph
+from hgtensor.hypergraph import Hypergraph, _require_int
 from hgtensor.polynomial import Polynomial
 from hgtensor.uniformise import _prepare
 
@@ -77,8 +88,173 @@ class SymSparseTensor:
             raise ValueError(f"need {self.order} indices, got {len(indices)}")
         return self.entries.get(tuple(sorted(indices)), Fraction(0))
 
-    def canonical_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.entries.items())
+    def index_array(self) -> np.ndarray:
+        """The (nnz, order) array of 1-based index tuples, in entry order."""
+        flat = np.fromiter(
+            itertools.chain.from_iterable(self.entries),
+            np.int64,
+            self.nnz * self.order,
+        )
+        return flat.reshape(self.nnz, self.order)
+
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based COO indices and float values; square-free tuples only."""
+        indices = self.index_array() - 1
+        # Canonical tuples are non-decreasing, so a repeat is an equal neighbour.
+        repeated = np.flatnonzero((indices[:, 1:] == indices[:, :-1]).any(axis=1))
+        if repeated.size:
+            tup = tuple((indices[repeated[0]] + 1).tolist())
+            raise UnexpectedRepeatedIndex(
+                f"entry {tup} repeats an index; the sparse product "
+                "only supports square-free tensors"
+            )
+        values = np.fromiter(self.entries.values(), np.float64, self.nnz)
+        return indices, values
+
+
+def _pattern_fault(
+    rows: np.ndarray,
+    n: int,
+    checks: Sequence[tuple[np.ndarray, str | Callable[[int], str]]] = (),
+) -> tuple[int, str] | None:
+    """The bad row that comes first in canonical order, and why.
+
+    A padded edge holds j >= 1 increasing original indices (<= n), then
+    exactly the special suffix n + j, ..., n + k - 1; equivalently,
+    position p (0-based) of a non-decreasing row holds an original index
+    or n + p, and originals do not repeat.  ``checks`` are extra
+    (row mask, reason) pairs, tried first on each row; a reason is a
+    string or a function of the row number.  Returns None when every
+    row is a padded edge and passes them.
+    """
+    k = rows.shape[1]
+    originals = rows <= n
+    step = rows[:, 1:] - rows[:, :-1]
+
+    def not_the_suffix(i: int) -> str:
+        tup = rows[i].tolist()
+        j = sum(v <= n for v in tup)
+        return (f"has special indices {tuple(tup[j:])}, not the suffix "
+                f"{tuple(range(n + j, n + k))} for origin size {j}")
+
+    checks = (
+        *checks,
+        (rows[:, 0] < 1, "has an index below 1"),
+        ((step < 0).any(axis=1), "is not non-decreasing"),
+        (~originals[:, 0], f"holds no original vertex (n={n})"),
+        (((step == 0) & originals[:, 1:]).any(axis=1), "repeats an original vertex"),
+        ((~originals & (rows != n + np.arange(k))).any(axis=1), not_the_suffix),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if not bad.size:
+        return None
+    i = int(bad[np.lexsort(rows[bad].T[::-1])[0]])
+    reason = next(reason for mask, reason in checks if mask[i])
+    return i, reason if isinstance(reason, str) else reason(i)
+
+
+@dataclass(frozen=True, eq=False)
+class LayeredTensor:
+    """Layered e-adjacency tensor, stored as its padded edge array.
+
+    ``rows`` is the read-only (|E|, order) int64 array of the canonical
+    1-based index tuples, one per hyperedge in edge order: the edge's
+    original vertices (<= n), then its special suffix.  Every entry holds
+    ``value`` = 1/(order-1)!, so the rows are the whole tensor.  The
+    constructor checks the pattern and that no row repeats, and raises
+    MalformedTensor naming the bad row that comes first in canonical
+    order.
+    """
+
+    n: int
+    order: int
+    rows: np.ndarray
+    _lex: np.ndarray = field(init=False, repr=False)  # canonical row order
+
+    def __post_init__(self):
+        _require_int(self.n, "n")
+        _require_int(self.order, "order")
+        if self.n < 1 or self.order < 1:
+            raise MalformedTensor(
+                f"need n >= 1 and order >= 1, got n={self.n}, order={self.order}"
+            )
+        rows = np.asarray(self.rows)
+        if rows.ndim != 2 or rows.shape[1] != self.order:
+            raise MalformedTensor(
+                f"rows of shape {rows.shape}, expected (nnz, {self.order})"
+            )
+        if rows.dtype.kind not in "iu":
+            raise MalformedTensor(f"rows of dtype {rows.dtype}, expected integers")
+        rows = rows.astype(np.int64)  # a private, read-only copy
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        fault = _pattern_fault(rows, self.n)
+        if fault is not None:
+            i, reason = fault
+            raise MalformedTensor(f"row {i}: entry {tuple(rows[i].tolist())} {reason}")
+        # A stable sort, so equal rows are neighbours in row order.
+        lex = np.lexsort(rows.T[::-1])
+        object.__setattr__(self, "_lex", lex)
+        ordered = rows[lex]
+        same = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))
+        if same.size:
+            first, second = lex[same[0]: same[0] + 2].tolist()
+            raise MalformedTensor(
+                f"rows {first} and {second} hold the same entry "
+                f"{tuple(rows[first].tolist())}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.n + self.order - 1
+
+    @property
+    def nnz(self) -> int:
+        return len(self.rows)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(1, math.factorial(self.order - 1))
+
+    def canonical_rows(self) -> np.ndarray:
+        """The rows in lexicographic order, the canonical entry order."""
+        return self.rows[self._lex]
+
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based COO indices and float values, in edge order."""
+        return self.rows - 1, np.full(self.nnz, float(self.value))
+
+    def to_sparse(self) -> SymSparseTensor:
+        """The same tensor as an exact ``SymSparseTensor``."""
+        entries = dict.fromkeys(map(tuple, self.rows.tolist()), self.value)
+        return SymSparseTensor(self.order, self.dim, entries)
+
+    @classmethod
+    def from_sparse(cls, t: SymSparseTensor, n: int) -> LayeredTensor:
+        """The layered tensor held by ``t``, with original vertices 1..n.
+
+        Raises MalformedTensor when the dimension is not n + order - 1,
+        or at the first entry in canonical order whose value is not
+        1/(order-1)! or whose indices are not a padded edge; that error
+        carries the entry.
+        """
+        k = t.order
+        if n < 1 or t.dim != n + k - 1:
+            raise MalformedTensor(
+                f"dimension {t.dim} incompatible with n={n} and order {k}"
+            )
+        rows = t.index_array()
+        value = Fraction(1, math.factorial(k - 1))
+        values = list(t.entries.values())
+        wrong = np.fromiter((v != value for v in values), bool, t.nnz)
+        fault = _pattern_fault(rows, n, [(
+            wrong, lambda i: f"has value {values[i]}, expected 1/{value.denominator}"
+        )])
+        if fault is not None:
+            i, reason = fault
+            entry = tuple(rows[i].tolist())
+            raise MalformedTensor(f"entry {entry} {reason}", entry)
+        return cls(n, k, rows)
 
 
 def permutation_count(tup: tuple[int, ...]) -> int:
@@ -100,18 +276,19 @@ def semantic_total(t: SymSparseTensor) -> Fraction:
     )
 
 
-def edge_count_from_handshake(t: SymSparseTensor) -> Fraction:
+def edge_count_from_handshake(t: LayeredTensor) -> Fraction:
     """Generalized handshake: total entry sum divided by the order.
 
-    Equals |E| exactly for a layered e-adjacency tensor.
+    Every row is square-free (the constructor checks it), so each entry
+    is summed over its order! orderings and the exact total is
+    nnz * order! * value.  Equals |E| exactly for a layered e-adjacency
+    tensor.
     """
-    return semantic_total(t) / t.order
+    return t.nnz * math.factorial(t.order) * t.value / t.order
 
 
 def to_dense(t: SymSparseTensor):
     """Debug materialization as a dense float array (small tensors only)."""
-    import numpy as np
-
     if t.dim**t.order > DENSE_LIMIT:
         raise ValueError(
             f"dense tensor would hold {t.dim ** t.order} elements "
@@ -221,62 +398,37 @@ def php_build(
     return php_polynomials(h, coeffs)[-1]
 
 
-def build_e_adjacency(h: Hypergraph) -> SymSparseTensor:
+def build_e_adjacency(h: Hypergraph) -> LayeredTensor:
     """Layered e-adjacency tensor, built directly edge by edge.
 
-    Equals the homogenisation route
+    Its ``to_sparse()`` equals the homogenisation route
     ``polynomial_to_tensor(php_build(h), k_max, n + k_max - 1)`` exactly.
     """
     k_max = _require_buildable(h)
-    dim = h.n + k_max - 1
-    value = Fraction(1, math.factorial(k_max - 1))
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for e in h.edges:
-        j = len(e)
-        entries[e + tuple(range(h.n + j, h.n + k_max))] = value
-    return SymSparseTensor(k_max, dim, entries)
+    m = len(h.edges)
+    sizes = np.fromiter(map(len, h.edges), np.int64, m)
+    originals = np.fromiter(
+        itertools.chain.from_iterable(h.edges), np.int64, int(sizes.sum())
+    )
+    # Start every row as the full special range, then write each edge's
+    # vertices over its first |e| slots (row-major, as ``originals`` runs).
+    rows = np.tile(h.n + np.arange(k_max), (m, 1))
+    rows[np.arange(k_max) < sizes[:, None]] = originals
+    return LayeredTensor(h.n, k_max, rows)
 
 
-def _split_entry(
-    tup: tuple[int, ...], value: Fraction, n: int, order: int
-) -> tuple[int, ...]:
-    """Validate one canonical entry against the layered pattern.
-
-    Returns the original-vertex part (the encoded hyperedge).  A valid
-    entry holds j >= 1 distinct original indices followed by exactly the
-    special suffix (n + j, ..., n + order - 1), with value 1/(order-1)!.
-    """
-    if value != Fraction(1, math.factorial(order - 1)):
-        raise MalformedTensor(
-            f"entry {tup} has value {value}, expected 1/{math.factorial(order - 1)}"
-        )
-    originals = tuple(i for i in tup if i <= n)
-    specials = tuple(i for i in tup if i > n)
-    if not originals:
-        raise MalformedTensor(f"entry {tup} holds no original vertex (n={n})")
-    if len(set(originals)) != len(originals):
-        raise MalformedTensor(f"entry {tup} repeats an original vertex")
-    j = len(originals)
-    if specials != tuple(range(n + j, n + order)):
-        raise MalformedTensor(
-            f"entry {tup}: special indices {specials} do not form the "
-            f"suffix {tuple(range(n + j, n + order))} for origin size {j}"
-        )
-    return originals
-
-
-def reconstruct(t: SymSparseTensor, n: int) -> Hypergraph:
+def reconstruct(t: LayeredTensor) -> Hypergraph:
     """Invert ``build_e_adjacency``: recover the hypergraph from the tensor.
 
-    Each canonical entry encodes one hyperedge (its indices <= n); any
-    entry that does not match the layered pattern raises MalformedTensor.
+    Each row, taken in canonical order, encodes one hyperedge: its
+    indices <= n.  Use ``LayeredTensor.from_sparse`` to check a general
+    tensor against the layered pattern first.
     """
-    if n < 1 or t.dim != n + t.order - 1:
-        raise MalformedTensor(
-            f"dimension {t.dim} incompatible with n={n} and order {t.order}"
-        )
-    edges = [
-        _split_entry(tup, value, n, t.order)
-        for tup, value in t.canonical_items()
-    ]
-    return Hypergraph(n, tuple(edges))
+    rows = t.canonical_rows()
+    originals = rows <= t.n
+    # Row-major, so each row's original vertices come out consecutively.
+    vertices = iter(rows[originals].tolist())
+    sizes = originals.sum(axis=1).tolist()
+    return Hypergraph(
+        t.n, tuple(tuple(itertools.islice(vertices, j)) for j in sizes)
+    )

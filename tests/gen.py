@@ -9,6 +9,7 @@ from hgtensor import Hypergraph
 
 CORPUS_SEED = 20260810
 GRAPH_SEED = 424242
+LARGE_SEED = 777
 
 
 def random_hypergraph(
@@ -43,3 +44,16 @@ def random_graph(rng: random.Random, max_n: int = 19, max_edges: int = 30) -> Hy
 def graph_corpus(count: int = 50, seed: int = GRAPH_SEED) -> list[Hypergraph]:
     rng = random.Random(seed)
     return [random_graph(rng) for _ in range(count)]
+
+
+def large_hypergraph(
+    n: int = 12_000, m: int = 20_000, max_k: int = 5, seed: int = LARGE_SEED
+) -> Hypergraph:
+    """Seeded hypergraph on n vertices with m pairwise-distinct hyperedges of
+    sizes 1..max_k, for tests at tensor dimension >= 10^4."""
+    rng = random.Random(seed)
+    edges: dict[tuple[int, ...], None] = {}
+    while len(edges) < m:
+        k = rng.randint(1, max_k)
+        edges[tuple(sorted(rng.sample(range(1, n + 1), k)))] = None
+    return Hypergraph(n, tuple(edges))

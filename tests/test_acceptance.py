@@ -16,6 +16,7 @@ import pytest
 
 from hgtensor import (
     Hypergraph,
+    LayeredTensor,
     SymSparseTensor,
     build_e_adjacency,
     degrees_from_tensor,
@@ -24,6 +25,7 @@ from hgtensor import (
     php_build,
     polynomial_to_tensor,
     reconstruct,
+    semantic_total,
     spectral_bound,
     to_dense,
 )
@@ -59,7 +61,7 @@ def test_route_equivalence():
         k_max = h.range()
         direct = build_e_adjacency(h)
         via_php = polynomial_to_tensor(php_build(h), k_max, h.n + k_max - 1)
-        assert direct == via_php  # exact rational, entry for entry
+        assert direct.to_sparse() == via_php  # exact rational, entry for entry
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"route equivalence took {elapsed:.2f}s"
 
@@ -70,7 +72,7 @@ def test_entry_law():
         t = build_e_adjacency(h)
         expected = Fraction(1, math.factorial(t.order - 1))
         assert t.nnz == len(h.edges)
-        assert all(v == expected for v in t.entries.values())
+        assert all(v == expected for v in t.to_sparse().entries.values())
 
 
 @acceptance(3, "generalized handshake")
@@ -78,13 +80,15 @@ def test_handshake():
     for h in CORPUS:
         t = build_e_adjacency(h)
         assert edge_count_from_handshake(t) == Fraction(len(h.edges))
+        # the same identity summed entry by entry over the exact tensor
+        assert semantic_total(t.to_sparse()) / t.order == Fraction(len(h.edges))
 
 
 @acceptance(4, "degree and layer identities")
 def test_degree_identities():
     for h in CORPUS:
         t = build_e_adjacency(h)
-        report = degrees_from_tensor(t, h.n)
+        report = degrees_from_tensor(t)
         assert report.degrees[: h.n] == h.degrees()
         direct_layers = tuple(len(layer.edges) for layer in h.layers())
         assert report.layer_counts == direct_layers
@@ -96,7 +100,7 @@ def test_eigenvalue_bound():
         t = build_e_adjacency(h)
         if t.order < 2:
             continue
-        bound = spectral_bound(degrees_from_tensor(t, h.n))
+        bound = spectral_bound(degrees_from_tensor(t))
         result = largest_h_eigenvalue(t, max_iter=100_000)
         assert result.eigenvalue <= bound + 1e-6
         assert result.residual <= 1e-8
@@ -143,7 +147,7 @@ def test_regular_uniform_equality():
     suite.append(three_uniform_three_regular())
     for h in suite:
         t = build_e_adjacency(h)
-        bound = spectral_bound(degrees_from_tensor(t, h.n))
+        bound = spectral_bound(degrees_from_tensor(t))
         result = largest_h_eigenvalue(t)
         assert abs(result.eigenvalue - bound) <= 1e-6
 
@@ -168,12 +172,14 @@ def _corrupt_index(t: SymSparseTensor) -> SymSparseTensor:
 def test_bijective_reconstruction():
     for h in CORPUS:
         t = build_e_adjacency(h)
-        assert reconstruct(t, h.n).canonical() == h.canonical()
+        assert reconstruct(t).canonical() == h.canonical()
+        exact = t.to_sparse()
+        assert reconstruct(LayeredTensor.from_sparse(exact, h.n)).canonical() == h.canonical()
         with pytest.raises(MalformedTensor):
-            reconstruct(_corrupt_value(t), h.n)
+            reconstruct(LayeredTensor.from_sparse(_corrupt_value(exact), h.n))
         if t.order >= 2:
             with pytest.raises(MalformedTensor):
-                reconstruct(_corrupt_index(t), h.n)
+                reconstruct(LayeredTensor.from_sparse(_corrupt_index(exact), h.n))
 
 
 @acceptance(8, "order-2 dense oracle")
@@ -182,7 +188,7 @@ def test_order_2_dense_oracle():
     assert all(g.n + 1 <= 20 for g in graphs)
     for g in graphs:
         t = build_e_adjacency(g)
-        lam_dense = float(np.linalg.eigvalsh(to_dense(t)).max())
+        lam_dense = float(np.linalg.eigvalsh(to_dense(t.to_sparse())).max())
         result = largest_h_eigenvalue(t)
         assert abs(result.eigenvalue - lam_dense) <= 1e-8
 
@@ -191,10 +197,11 @@ def test_order_2_dense_oracle():
 def test_cli_roundtrip(tmp_path, capsys):
     for pos, h in enumerate(CORPUS):
         t = build_e_adjacency(h)
-        text = write_tensor(t, h.n)
-        parsed, n = parse_tensor(text)
-        assert parsed == t and n == h.n
-        assert write_tensor(parsed, n) == text  # byte-exact re-emission
+        text = write_tensor(t)
+        parsed = parse_tensor(text)
+        assert parsed.tensor == t.to_sparse() and parsed.n == h.n
+        back = LayeredTensor.from_sparse(parsed.tensor, parsed.n)
+        assert write_tensor(back) == text  # byte-exact re-emission
 
         src = tmp_path / f"h{pos}.hg"
         src.write_text(

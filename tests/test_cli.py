@@ -147,7 +147,7 @@ def test_spectral_bound_matches_tensor_degrees(tmp_path, capsys):
         text = "".join(" ".join(f"v{v}" for v in e) + "\n" for e in h.edges)
         code, out, _ = run(capsys, "spectral", write(tmp_path, f"h{i}.hg", text))
         assert code == 0
-        want = spectral_bound(degrees_from_tensor(build_e_adjacency(h), h.n))
+        want = spectral_bound(degrees_from_tensor(build_e_adjacency(h)))
         assert fields(out)["bound"] == str(want)
 
 
@@ -197,6 +197,21 @@ def test_reconstruct_malformed(tmp_path, capsys):
     code, out, err = run(capsys, "reconstruct", coo)
     assert code == 1
     assert "error=MalformedTensor" in err
+    assert "detail=line 2: entry (5, 6, 6) holds no original vertex" in err
+
+    # semantic errors name the file line of the first bad entry in
+    # canonical order, past comments and blank lines
+    header = "order=3 dim=6 n=4 format=canonical-coo\n# a comment\n"
+    for body, detail in (
+        ("1 2 6 1/2\n\n2 3 4 1/2\n1 5 6 1/3\n",
+         "detail=line 6: entry (1, 5, 6) has value 1/3, expected 1/2\n"),
+        ("2 3 4 1/2\n1 6 6 1/2\n1 2 6 1/2\n",
+         "detail=line 4: entry (1, 6, 6) has special indices (6, 6), "
+         "not the suffix (5, 6) for origin size 1\n"),
+    ):
+        code, out, err = run(capsys, "reconstruct", write(tmp_path, "bad.coo", header + body))
+        assert code == 1 and out == ""
+        assert err == "error=MalformedTensor\n" + detail
 
 
 def test_reconstruct_non_positive_header(tmp_path, capsys):
@@ -226,6 +241,38 @@ def test_reconstruct_n_flag_overrides_header(tmp_path, capsys):
     code, out, err = run(capsys, "reconstruct", coo, "--n", "2")
     assert code == 1  # dim 4 is inconsistent with n=2 at order 2
     assert "error=MalformedTensor" in err
+
+
+# --- golden output ----------------------------------------------------------
+
+
+EXAMPLE_COO = """\
+order=3 dim=6 n=4 format=canonical-coo
+# label 1 = v1
+# label 2 = v2
+# label 3 = v3
+# label 4 = v4
+1 2 6 1/2
+1 5 6 1/2
+2 3 4 1/2
+"""
+
+
+def test_readme_example_output_is_pinned(tmp_path, capsys):
+    src = write(tmp_path, "ex.hg", EXAMPLE)
+    assert run(capsys, "build", src) == (
+        0, EXAMPLE_COO, "n=4\nk_max=3\nedges=3\ndim=6\nnnz=3\n")
+    assert run(capsys, "stats", src) == (0, (
+        "n=4\nk_max=3\nedges=3\ndim=6\nnnz=3\n"
+        "d_v1=2\nd_v2=2\nd_v3=1\nd_v4=1\nd_y1=1\nd_y2=2\n"
+        "layer_count_1=1\nlayer_count_2=1\nlayer_count_3=1\n"
+        "degree_check=pass\nlayer_check=pass\nhandshake=pass\n"
+        "Delta=2\nDeltaStar=2\nbound=2\n"), "")
+    assert run(capsys, "spectral", src) == (0, (
+        "lambda=1.6566253896185723\nbound=2\nbound_satisfied=true\n"
+        "iterations=79\nresidual=1.777750169296155e-11\n"), "")
+    coo = write(tmp_path, "ex.coo", EXAMPLE_COO)
+    assert run(capsys, "reconstruct", coo) == (0, "1 2\n1\n2 3 4\n", "")
 
 
 # --- uniformise --------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hgtensor import Hypergraph, build_e_adjacency
+from hgtensor import Hypergraph, LayeredTensor, build_e_adjacency
 from hgtensor.errors import ParseError
 from hgtensor.fileio import (
     format_rational,
@@ -60,20 +60,36 @@ def test_format_rational():
 def test_tensor_roundtrip_exact():
     for h in corpus(count=40, seed=43):
         t = build_e_adjacency(h)
-        text = write_tensor(t, h.n)
-        back, n = parse_tensor(text)
-        assert back == t and n == h.n
+        text = write_tensor(t)
+        back = parse_tensor(text)
+        assert back.tensor == t.to_sparse() and back.n == h.n
         # writing what was parsed is byte-identical modulo the label comments
-        assert write_tensor(back, n) == write_tensor(t, h.n)
+        assert write_tensor(LayeredTensor.from_sparse(back.tensor, back.n)) == text
 
 
 def test_tensor_write_format():
     t = build_e_adjacency(Hypergraph(4, ((1,), (1, 2), (2, 3, 4))))
-    text = write_tensor(t, 4, labels=("v1", "v2", "v3", "v4"))
+    text = write_tensor(t, labels=("v1", "v2", "v3", "v4"))
     lines = text.splitlines()
     assert lines[0] == "order=3 dim=6 n=4 format=canonical-coo"
     assert lines[1] == "# label 1 = v1"
     assert lines[5:] == ["1 2 6 1/2", "1 5 6 1/2", "2 3 4 1/2"]
+
+
+def test_tensor_parse_records_entry_lines():
+    text = (
+        "# written by hand\n"
+        "order=2 dim=4 n=3 format=canonical-coo\n"
+        "2 3 1/1\n"
+        "\n"
+        "# a comment\n"
+        "1 2 1/1  # trailing comment\n"
+    )
+    parsed = parse_tensor(text)
+    assert parsed.n == 3
+    assert list(parsed.tensor.entries) == [(2, 3), (1, 2)]
+    assert parsed.entry_lines == (3, 6)
+    assert parsed.line_of((1, 2)) == 6
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,15 @@ def test_vertex_out_of_range_rejected():
         Hypergraph(3, ((1, 4),))
     with pytest.raises(UnknownVertex):
         Hypergraph(3, ((0, 1),))
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="vertex index"):
+            Hypergraph(3, ((bad, 2),))
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", None, True, False])
+def test_vertex_count_must_be_an_int(n):
+    with pytest.raises(TypeError, match="vertex count"):
+        Hypergraph(n, ((1, 2),) if n else ())
 
 
 def test_range_examples():
@@ -54,6 +63,9 @@ def test_degree_examples():
     assert h.degree(3) == 1
     with pytest.raises(UnknownVertex):
         h.degree(5)
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(TypeError, match="vertex index"):
+            h.degree(bad)
 
 
 def test_layers_partition_and_handshake_on_corpus():

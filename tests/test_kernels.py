@@ -10,7 +10,6 @@ import numpy as np
 
 from hgtensor import SymSparseTensor
 from hgtensor.kernels import apply_coords
-from hgtensor.spectral import _coords
 
 
 def semantic_apply(t: SymSparseTensor, x: list[Fraction]) -> list[Fraction]:
@@ -43,7 +42,7 @@ def test_kernel_matches_exact_enumeration():
         t = random_square_free_tensor(rng, dim, order)
         xq = [Fraction(rng.randint(0, 5), 2) for _ in range(dim)]
         expected = [float(v) for v in semantic_apply(t, xq)]
-        indices, values = _coords(t)
+        indices, values = t.coords()
         got = apply_coords(indices, values, np.array([float(v) for v in xq]))
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), t
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hgtensor import (
     DegreeReport,
     Hypergraph,
+    LayeredTensor,
     SymSparseTensor,
     apply,
     build_e_adjacency,
@@ -52,7 +53,7 @@ def direct_report(h: Hypergraph, k_max: int | None = None) -> DegreeReport:
 
 
 def test_degrees_worked_example():
-    report = degrees_from_tensor(build_e_adjacency(EXAMPLE), 4)
+    report = degrees_from_tensor(build_e_adjacency(EXAMPLE))
     assert report.degrees == (2, 2, 1, 1, 1, 2)
     assert report.layer_counts == (1, 1, 1)
     assert report.n_edges == 3
@@ -61,19 +62,19 @@ def test_degrees_worked_example():
 
 def test_degrees_2_uniform():
     h = Hypergraph(4, ((1, 2), (3, 4)))
-    report = degrees_from_tensor(build_e_adjacency(h), 4)
+    report = degrees_from_tensor(build_e_adjacency(h))
     assert report.degrees[4] == 0  # y1
     assert report.layer_counts == (0, 2)
 
 
 def test_degrees_single_3_edge():
-    report = degrees_from_tensor(build_e_adjacency(Hypergraph(3, ((1, 2, 3),))), 3)
+    report = degrees_from_tensor(build_e_adjacency(Hypergraph(3, ((1, 2, 3),))))
     assert report.degrees == (1, 1, 1, 0, 0)
     assert report.layer_counts == (0, 0, 1)
 
 
 def test_degrees_k_max_1():
-    report = degrees_from_tensor(build_e_adjacency(Hypergraph(2, ((1,), (2,)))), 2)
+    report = degrees_from_tensor(build_e_adjacency(Hypergraph(2, ((1,), (2,)))))
     assert report.degrees == (1, 1)
     assert report.layer_counts == (2,)
 
@@ -81,7 +82,7 @@ def test_degrees_k_max_1():
 def test_degrees_match_direct_counting_on_corpus():
     for h in corpus(count=60, seed=31):
         t = build_e_adjacency(h)
-        report = degrees_from_tensor(t, h.n)
+        report = degrees_from_tensor(t)
         assert report == direct_report(h)
         # row sums of the tensor equal the degrees
         ones = apply(t, np.ones(t.dim))
@@ -89,11 +90,15 @@ def test_degrees_match_direct_counting_on_corpus():
 
 
 def test_degrees_rejects_malformed():
+    # A degree report is only made from a LayeredTensor, and both ways to
+    # make one reject a tensor that is not layered.
     t = build_e_adjacency(EXAMPLE)
     with pytest.raises(MalformedTensor):
-        degrees_from_tensor(t, 3)
+        LayeredTensor.from_sparse(t.to_sparse(), 3)
     with pytest.raises(MalformedTensor):
-        degrees_from_tensor(SymSparseTensor(3, 6, {(5, 6, 6): Fraction(1, 2)}), 4)
+        LayeredTensor.from_sparse(SymSparseTensor(3, 6, {(5, 6, 6): Fraction(1, 2)}), 4)
+    with pytest.raises(MalformedTensor):
+        LayeredTensor(4, 3, np.array([[5, 6, 6]]))
 
 
 @st.composite
@@ -103,7 +108,7 @@ def maybe_corrupted_tensors(draw):
     n = draw(st.integers(1, 6))
     edges = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1, max_size=4),
                           min_size=1, max_size=8, unique=True))
-    t = build_e_adjacency(Hypergraph(n, tuple(tuple(sorted(e)) for e in edges)))
+    t = build_e_adjacency(Hypergraph(n, tuple(tuple(sorted(e)) for e in edges))).to_sparse()
     entries = dict(t.entries)
     kind = draw(st.sampled_from(("none", "move", "value")))
     if kind != "none":
@@ -123,17 +128,35 @@ def maybe_corrupted_tensors(draw):
     return n, SymSparseTensor(t.order, t.dim, entries)
 
 
+def layered_oracle(t: SymSparseTensor, n: int) -> Hypergraph | None:
+    """Oracle: the hypergraph ``t`` encodes, checked entry by entry, or
+    None when some entry is not a padded edge of value 1/(k-1)!."""
+    k = t.order
+    value = Fraction(1, math.factorial(k - 1))
+    edges = []
+    for tup, v in sorted(t.entries.items()):
+        j = sum(1 for i in tup if i <= n)
+        originals = tup[:j]  # canonical tuples are non-decreasing
+        if (v != value or j == 0 or len(set(originals)) != j
+                or tup[j:] != tuple(range(n + j, n + k))):
+            return None
+        edges.append(originals)
+    return Hypergraph(n, tuple(edges))
+
+
 @settings(max_examples=300, deadline=None)
 @given(maybe_corrupted_tensors())
 def test_degrees_agree_with_reconstruction(case):
     n, t = case
-    try:
-        h = reconstruct(t, n)
-    except MalformedTensor:
+    h = layered_oracle(t, n)
+    if h is None:
         with pytest.raises(MalformedTensor):
-            degrees_from_tensor(t, n)
+            LayeredTensor.from_sparse(t, n)
         return
-    report = degrees_from_tensor(t, n)
+    layered = LayeredTensor.from_sparse(t, n)
+    assert layered.to_sparse() == t
+    assert reconstruct(layered).canonical() == h.canonical()
+    report = degrees_from_tensor(layered)
     assert report == direct_report(h, t.order)
     assert np.allclose(apply(t, np.ones(t.dim)), report.degrees, atol=1e-12)
 
@@ -267,7 +290,7 @@ def test_eigen_bound_on_corpus():
         t = build_e_adjacency(h)
         if t.order < 2:
             continue
-        bound = spectral_bound(degrees_from_tensor(t, h.n))
+        bound = spectral_bound(degrees_from_tensor(t))
         result = largest_h_eigenvalue(t)
         assert result.eigenvalue <= bound + 1e-6
         assert result.residual <= 1e-8
@@ -288,7 +311,7 @@ def test_eigen_regular_uniform_equality():
     ]
     for h in cases:
         t = build_e_adjacency(h)
-        bound = spectral_bound(degrees_from_tensor(t, h.n))
+        bound = spectral_bound(degrees_from_tensor(t))
         result = largest_h_eigenvalue(t)
         assert abs(result.eigenvalue - bound) <= 1e-6
 
@@ -296,6 +319,6 @@ def test_eigen_regular_uniform_equality():
 def test_eigen_matches_dense_matrix_solver():
     for h in graph_corpus(count=15, seed=41):
         t = build_e_adjacency(h)
-        lam_dense = float(np.linalg.eigvalsh(to_dense(t)).max())
+        lam_dense = float(np.linalg.eigvalsh(to_dense(t.to_sparse())).max())
         result = largest_h_eigenvalue(t)
         assert abs(result.eigenvalue - lam_dense) <= 1e-8

@@ -11,6 +11,7 @@ import sympy
 
 from hgtensor import (
     Hypergraph,
+    LayeredTensor,
     Polynomial,
     SymSparseTensor,
     build_e_adjacency,
@@ -83,7 +84,7 @@ def test_tensor_validation():
 
 def test_semantic_lookup_is_permutation_invariant():
     rng = random.Random(5)
-    t = build_e_adjacency(EXAMPLE)
+    t = build_e_adjacency(EXAMPLE).to_sparse()
     for tup in t.entries:
         for _ in range(5):
             shuffled = list(tup)
@@ -157,7 +158,7 @@ def test_polynomial_to_tensor_errors():
 
 def test_conversions_invert_each_other():
     for h in corpus(count=30, seed=11):
-        t = build_e_adjacency(h)
+        t = build_e_adjacency(h).to_sparse()
         assert polynomial_to_tensor(tensor_to_polynomial(t), t.order, t.dim) == t
 
 
@@ -215,13 +216,14 @@ def test_php_intermediates_homogeneous():
 
 def test_build_worked_example():
     t = build_e_adjacency(EXAMPLE)
-    assert t.order == 3 and t.dim == 6
-    assert t.entries == {(1, 5, 6): HALF, (1, 2, 6): HALF, (2, 3, 4): HALF}
+    assert t.order == 3 and t.dim == 6 and t.n == 4
+    assert t.rows.tolist() == [[1, 5, 6], [1, 2, 6], [2, 3, 4]]  # edge order
+    assert t.to_sparse().entries == {(1, 5, 6): HALF, (1, 2, 6): HALF, (2, 3, 4): HALF}
 
 
 def test_build_2_uniform_graph():
     h = Hypergraph(3, ((1, 2), (1, 3), (2, 3)))
-    t = build_e_adjacency(h)
+    t = build_e_adjacency(h).to_sparse()
     assert t.dim == 4
     assert t.entries == {
         (1, 2): Fraction(1),
@@ -234,7 +236,7 @@ def test_build_2_uniform_graph():
 def test_build_singleton():
     t = build_e_adjacency(Hypergraph(1, ((1,),)))
     assert t.order == 1 and t.dim == 1
-    assert t.entries == {(1,): Fraction(1)}
+    assert t.to_sparse().entries == {(1,): Fraction(1)}
 
 
 def test_build_rejects_bad_input():
@@ -249,7 +251,7 @@ def test_routes_agree_exactly():
         t = build_e_adjacency(h)
         k_max = h.range()
         via_php = polynomial_to_tensor(php_build(h), k_max, h.n + k_max - 1)
-        assert t == via_php
+        assert t.to_sparse() == via_php
 
 
 def test_entry_law_and_handshake():
@@ -257,15 +259,15 @@ def test_entry_law_and_handshake():
         t = build_e_adjacency(h)
         k_max = t.order
         expected = Fraction(1, math.factorial(k_max - 1))
-        assert t.nnz == len(h.edges)
-        assert all(v == expected for v in t.entries.values())
-        assert semantic_total(t) == k_max * len(h.edges)
+        assert t.nnz == len(h.edges) and t.value == expected
+        assert all(v == expected for v in t.to_sparse().entries.values())
+        assert semantic_total(t.to_sparse()) == k_max * len(h.edges)
         assert edge_count_from_handshake(t) == len(h.edges)
 
 
 def test_handshake_worked_example():
     t = build_e_adjacency(EXAMPLE)
-    assert semantic_total(t) == 9
+    assert semantic_total(t.to_sparse()) == 9
     assert edge_count_from_handshake(t) == 3
 
 
@@ -274,32 +276,39 @@ def test_handshake_worked_example():
 
 def test_reconstruct_worked_example():
     t = SymSparseTensor(3, 6, {(1, 5, 6): HALF, (1, 2, 6): HALF, (2, 3, 4): HALF})
-    h = reconstruct(t, 4)
+    h = reconstruct(LayeredTensor.from_sparse(t, 4))
     assert sorted(h.edges) == [(1,), (1, 2), (2, 3, 4)]
     assert h.n == 4
 
 
 def test_reconstruct_graph_is_identity():
     h = Hypergraph(3, ((1, 2), (2, 3)))
-    assert sorted(reconstruct(build_e_adjacency(h), 3).edges) == sorted(h.edges)
+    assert sorted(reconstruct(build_e_adjacency(h)).edges) == sorted(h.edges)
 
 
 def test_reconstruct_rejects_malformed():
-    with pytest.raises(MalformedTensor):  # no original vertex
-        reconstruct(SymSparseTensor(3, 6, {(5, 6, 6): HALF}), 4)
-    with pytest.raises(MalformedTensor):  # wrong value
-        reconstruct(SymSparseTensor(3, 6, {(1, 5, 6): Fraction(1, 3)}), 4)
-    with pytest.raises(MalformedTensor):  # repeated original vertex
-        reconstruct(SymSparseTensor(3, 6, {(1, 1, 6): HALF}), 4)
-    with pytest.raises(MalformedTensor):  # special suffix starts at the wrong level
-        reconstruct(SymSparseTensor(3, 6, {(1, 6, 6): HALF}), 4)
-    with pytest.raises(MalformedTensor):  # dimension inconsistent with n
-        reconstruct(build_e_adjacency(EXAMPLE), 3)
+    def layered(entries, n=4):
+        return LayeredTensor.from_sparse(SymSparseTensor(3, 6, entries), n)
+
+    with pytest.raises(MalformedTensor, match="no original"):
+        layered({(5, 6, 6): HALF})
+    with pytest.raises(MalformedTensor, match="has value 1/3, expected 1/2"):
+        layered({(1, 5, 6): Fraction(1, 3)})
+    with pytest.raises(MalformedTensor, match="repeats an original"):
+        layered({(1, 1, 6): HALF})
+    with pytest.raises(MalformedTensor, match="not the suffix"):  # wrong level
+        layered({(1, 6, 6): HALF})
+    with pytest.raises(MalformedTensor, match="dimension"):  # n does not fit dim
+        layered({(1, 5, 6): HALF}, n=3)
+    # the first bad entry in canonical order is reported, and carried
+    with pytest.raises(MalformedTensor) as exc:
+        layered({(2, 5, 6): Fraction(1, 3), (1, 6, 6): HALF, (1, 2, 6): HALF})
+    assert exc.value.entry == (1, 6, 6)
 
 
 def test_roundtrip_on_corpus():
     for h in corpus(count=60, seed=29):
-        back = reconstruct(build_e_adjacency(h), h.n)
+        back = reconstruct(build_e_adjacency(h))
         assert back.canonical() == h.canonical()
 
 
@@ -310,7 +319,7 @@ def test_to_dense_symmetric():
     import numpy as np
 
     t = build_e_adjacency(Hypergraph(2, ((1, 2),)))
-    dense = to_dense(t)
+    dense = to_dense(t.to_sparse())
     assert dense.shape == (3, 3)
     assert np.array_equal(dense, dense.T)
     assert dense[0, 1] == 1.0 and dense[2, 2] == 0.0
