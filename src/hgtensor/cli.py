@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -18,9 +19,9 @@ from hgtensor import fileio
 from hgtensor.errors import (
     EmptyHypergraph,
     HgTensorError,
-    MalformedTensor,
     NoConvergence,
     OrderTooSmall,
+    ParseError,
     RepeatedHyperedge,
 )
 from hgtensor.spectral import (
@@ -29,7 +30,6 @@ from hgtensor.spectral import (
     spectral_bound,
 )
 from hgtensor.tensor import (
-    LayeredTensor,
     build_e_adjacency,
     edge_count_from_handshake,
     reconstruct,
@@ -40,10 +40,14 @@ BOUND_SLACK = 1e-8
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text; raises ParseError at the first byte not in UTF-8."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; "_" stands in for its line.
+        line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        raise ParseError(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
 def _at_least(kind, low):
@@ -74,22 +78,6 @@ def _load_hypergraph(path: str) -> fileio.ParsedHypergraph:
             f"{parsed.edge_lines[pair[1] - 1]} hold the same hyperedge",
         )
     return parsed
-
-
-def _load_tensor(path: str, n: int | None) -> LayeredTensor:
-    """Read a COO file as a layered tensor over n (default: the header's).
-
-    A semantic error names the file line of its entry.  The parsed exact
-    entries are dropped on return, before the caller builds anything.
-    """
-    parsed = fileio.parse_tensor(_read(path))
-    try:
-        return LayeredTensor.from_sparse(parsed.tensor, parsed.n if n is None else n)
-    except MalformedTensor as exc:
-        if exc.entry is None:
-            raise
-        line = parsed.line_of(exc.entry)
-        raise MalformedTensor(f"line {line}: {exc}", exc.entry) from None
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -167,7 +155,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    h = reconstruct(_load_tensor(args.input, args.n))
+    h = reconstruct(fileio.parse_tensor(_read(args.input)))
     for e in h.edges:
         print(" ".join(str(v) for v in e))
     return 0
@@ -211,8 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="recover the hypergraph from a COO file")
     p.add_argument("input", help="tensor COO file, or - for stdin")
-    p.add_argument("--n", type=int, default=None, help="original vertex count "
-                   "(defaults to the file header)")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("uniformise", help="list the uniformised weighted edges")

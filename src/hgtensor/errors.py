@@ -53,12 +53,18 @@ class UnexpectedRepeatedIndex(HgTensorError):
 class MalformedTensor(HgTensorError):
     """Raised when a tensor is not a layered e-adjacency tensor.
 
-    Carries the offending canonical entry, when one entry is at fault.
+    When one row (entry) is at fault, carries its 0-based index as
+    ``row``, and the message is prefixed with ``row <row>: ``; ``args[0]``
+    is the message without the prefix.
     """
 
-    def __init__(self, message: str, entry: tuple[int, ...] | None = None):
-        self.entry = entry
+    def __init__(self, message: str, row: int | None = None):
+        self.row = row
         super().__init__(message)
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.row is None else f"row {self.row}: {message}"
 
 
 class DimensionMismatch(HgTensorError):

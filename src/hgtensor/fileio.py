@@ -11,9 +11,9 @@ Tensor files start with the header line
 followed by one line per canonical entry: the k non-decreasing 1-based
 indices, then the value as an exact rational ``p/q`` in lowest terms.
 Comment lines are skipped; writers emit the label map as comments for
-auditability.  The writer takes a ``LayeredTensor``; the parser reads
-any such file into a ``SymSparseTensor`` and records each entry's line,
-so ``LayeredTensor.from_sparse`` of what it read round-trips exactly.
+auditability.  ``write_tensor`` takes a ``LayeredTensor`` and
+``parse_tensor`` reads a file straight into one, raising ``ParseError``
+at the line of any fault; a written file round-trips byte for byte.
 """
 
 from __future__ import annotations
@@ -22,11 +22,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hgtensor.errors import ParseError
+import numpy as np
+
+from hgtensor.errors import MalformedTensor, ParseError
 from hgtensor.hypergraph import Hypergraph
-from hgtensor.tensor import LayeredTensor, SymSparseTensor
+from hgtensor.tensor import LayeredTensor
 
 COO_FORMAT = "canonical-coo"
+INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -37,16 +40,6 @@ class ParsedHypergraph:
 
     def label_of(self, vertex: int) -> str:
         return self.labels[vertex - 1]
-
-
-@dataclass(frozen=True)
-class ParsedTensor:
-    tensor: SymSparseTensor
-    n: int
-    entry_lines: tuple[int, ...]  # file line of each entry, in entry order
-
-    def line_of(self, entry: tuple[int, ...]) -> int:
-        return self.entry_lines[list(self.tensor.entries).index(entry)]
 
 
 def _strip_comment(line: str) -> str:
@@ -86,12 +79,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_rational(token: str, lineno: int) -> Fraction:
-    parts = token.split("/")
-    if len(parts) != 2:
-        raise ParseError(lineno, f"value {token!r} is not of the form p/q")
+def _check_value(token: str, order: int, entry: list[int], lineno: int) -> str:
+    """Check that ``token`` is 1/(order-1)! as p/q in lowest terms, q > 0;
+    return the spelling ``write_tensor`` gives that value."""
     try:
-        p, q = int(parts[0]), int(parts[1])
+        p, q = map(int, token.split("/"))
     except ValueError:
         raise ParseError(lineno, f"value {token!r} is not of the form p/q")
     if q <= 0:
@@ -100,7 +92,11 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
         raise ParseError(lineno, f"value {token!r} is not in lowest terms")
     if p == 0:
         raise ParseError(lineno, "stored entries must be nonzero")
-    return Fraction(p, q)
+    value, expected = Fraction(p, q), Fraction(1, math.factorial(order - 1))
+    if value != expected:
+        raise ParseError(lineno, f"entry {tuple(entry)} has value {value}, "
+                                 f"expected {format_rational(expected)}")
+    return format_rational(expected)
 
 
 def write_tensor(t: LayeredTensor, labels: tuple[str, ...] | None = None) -> str:
@@ -112,56 +108,70 @@ def write_tensor(t: LayeredTensor, labels: tuple[str, ...] | None = None) -> str
     return "".join(line + "\n" for line in lines)
 
 
-def parse_tensor(text: str) -> ParsedTensor:
-    """Read a canonical COO file: the tensor, the header's n, entry lines."""
-    header: dict[str, str] | None = None
-    entries: dict[tuple[int, ...], Fraction] = {}
+def parse_tensor(text: str) -> LayeredTensor:
+    """Read a canonical COO file as a layered e-adjacency tensor.
+
+    Each line is checked for what only the line shows: the header, the
+    token count, integer indices and the value 1/(order-1)!.  The
+    ``LayeredTensor`` constructor checks the pattern and repeats of all
+    rows at once; its fault is raised at the file line of the bad row.
+    """
+    lines = enumerate(text.splitlines(), start=1)
+    for header_line, raw in lines:
+        tokens = _strip_comment(raw).split()
+        if tokens:
+            break
+    else:
+        raise ParseError(1, "missing header line")
+    header: dict[str, str] = {}
+    for tok in tokens:
+        key, sep, val = tok.partition("=")
+        if not sep:
+            raise ParseError(header_line, f"bad header token {tok!r}")
+        header[key] = val
+    missing = {"order", "dim", "n", "format"} - header.keys()
+    if missing:
+        raise ParseError(header_line, f"header is missing {sorted(missing)}")
+    if header["format"] != COO_FORMAT:
+        raise ParseError(header_line, f"unknown format {header['format']!r}")
+    try:
+        order, dim, n = int(header["order"]), int(header["dim"]), int(header["n"])
+    except ValueError:
+        raise ParseError(header_line, "order, dim and n must be integers")
+    if min(order, dim, n) < 1:
+        raise ParseError(header_line, "order, dim and n must be positive")
+    if n != dim - order + 1:
+        raise ParseError(
+            header_line, f"dimension {dim} incompatible with n={n} and order {order}"
+        )
+    if dim > INT64_MAX:
+        raise ParseError(header_line, f"dimension {dim} exceeds the int64 index range")
+
+    flat: list[int] = []  # the rows' indices, row-major
     entry_lines: list[int] = []
-    order = dim = n = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+    expected = None  # the value token, once a line has shown its spelling
+    for lineno, raw in lines:
+        tokens = _strip_comment(raw).split()
+        if not tokens:
             continue
-        if header is None:
-            header = {}
-            for tok in line.split():
-                key, sep, val = tok.partition("=")
-                if not sep:
-                    raise ParseError(lineno, f"bad header token {tok!r}")
-                header[key] = val
-            missing = {"order", "dim", "n", "format"} - header.keys()
-            if missing:
-                raise ParseError(lineno, f"header is missing {sorted(missing)}")
-            if header["format"] != COO_FORMAT:
-                raise ParseError(lineno, f"unknown format {header['format']!r}")
-            try:
-                order, dim, n = (
-                    int(header["order"]),
-                    int(header["dim"]),
-                    int(header["n"]),
-                )
-            except ValueError:
-                raise ParseError(lineno, "order, dim and n must be integers")
-            if order < 1 or dim < 1:
-                raise ParseError(lineno, "order and dim must be positive")
-            continue
-        tokens = line.split()
         if len(tokens) != order + 1:
             raise ParseError(
                 lineno, f"expected {order} indices and a value, got {len(tokens)} tokens"
             )
         try:
-            tup = tuple(int(tok) for tok in tokens[:order])
+            flat.extend(map(int, tokens[:order]))
         except ValueError:
             raise ParseError(lineno, f"non-integer index in {tokens[:order]}")
-        if any(a > b for a, b in zip(tup, tup[1:])):
-            raise ParseError(lineno, f"indices {tup} are not non-decreasing")
-        if any(i < 1 or i > dim for i in tup):
-            raise ParseError(lineno, f"indices {tup} outside 1..{dim}")
-        if tup in entries:
-            raise ParseError(lineno, f"duplicate canonical entry {tup}")
-        entries[tup] = _parse_rational(tokens[order], lineno)
+        if tokens[order] != expected:
+            expected = _check_value(tokens[order], order, flat[-order:], lineno)
         entry_lines.append(lineno)
-    if header is None:
-        raise ParseError(1, "missing header line")
-    return ParsedTensor(SymSparseTensor(order, dim, entries), n, tuple(entry_lines))
+    try:
+        rows = np.array(flat, dtype=np.int64).reshape(-1, order)
+    except OverflowError:
+        i = next(i for i, v in enumerate(flat) if abs(v) > INT64_MAX)
+        line = entry_lines[i // order]
+        raise ParseError(line, f"index {flat[i]} outside 1..{dim}") from None
+    try:
+        return LayeredTensor(n, order, rows)
+    except MalformedTensor as exc:  # every fault found here is in one row
+        raise ParseError(entry_lines[exc.row], exc.args[0]) from None

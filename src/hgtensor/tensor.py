@@ -14,9 +14,9 @@ array: ``LayeredTensor`` stores the (|E|, k_max) integer array of those
 tuples, checked once with array operations when it is made, and answers
 degrees, the handshake total, reconstruction and the solver's COO arrays
 from it.  ``SymSparseTensor`` is the general exact container (a dict of
-``Fraction`` values): the homogenisation route, generic COO files and
-the exact oracles use it, and ``LayeredTensor.to_sparse`` /
-``LayeredTensor.from_sparse`` convert between the two.
+``Fraction`` values): the homogenisation route and the exact oracles use
+it, and ``LayeredTensor.to_sparse`` / ``LayeredTensor.from_sparse``
+convert between the two.
 
 Two independent routes build the tensor: the direct padding formula
 above, and the polynomial homogenisation route (per-layer adjacency
@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,20 +112,14 @@ class SymSparseTensor:
         return indices, values
 
 
-def _pattern_fault(
-    rows: np.ndarray,
-    n: int,
-    checks: Sequence[tuple[np.ndarray, str | Callable[[int], str]]] = (),
-) -> tuple[int, str] | None:
+def _pattern_fault(rows: np.ndarray, n: int) -> tuple[int, str] | None:
     """The bad row that comes first in canonical order, and why.
 
     A padded edge holds j >= 1 increasing original indices (<= n), then
     exactly the special suffix n + j, ..., n + k - 1; equivalently,
     position p (0-based) of a non-decreasing row holds an original index
-    or n + p, and originals do not repeat.  ``checks`` are extra
-    (row mask, reason) pairs, tried first on each row; a reason is a
-    string or a function of the row number.  Returns None when every
-    row is a padded edge and passes them.
+    or n + p, and originals do not repeat.  Returns None when every row
+    is a padded edge.
     """
     k = rows.shape[1]
     originals = rows <= n
@@ -134,11 +128,13 @@ def _pattern_fault(
     def not_the_suffix(i: int) -> str:
         tup = rows[i].tolist()
         j = sum(v <= n for v in tup)
-        return (f"has special indices {tuple(tup[j:])}, not the suffix "
-                f"{tuple(range(n + j, n + k))} for origin size {j}")
+        reason = (f"has special indices {tuple(tup[j:])}, not the suffix "
+                  f"{tuple(range(n + j, n + k))} for origin size {j}")
+        if tup[-1] > n + k - 1:  # the row is non-decreasing by now
+            reason += f", and {tup[-1]} is outside 1..{n + k - 1}"
+        return reason
 
     checks = (
-        *checks,
         (rows[:, 0] < 1, "has an index below 1"),
         ((step < 0).any(axis=1), "is not non-decreasing"),
         (~originals[:, 0], f"holds no original vertex (n={n})"),
@@ -162,8 +158,8 @@ class LayeredTensor:
     original vertices (<= n), then its special suffix.  Every entry holds
     ``value`` = 1/(order-1)!, so the rows are the whole tensor.  The
     constructor checks the pattern and that no row repeats, and raises
-    MalformedTensor naming the bad row that comes first in canonical
-    order.
+    MalformedTensor carrying the bad row that comes first in canonical
+    order (for a repeat, the later copy).
     """
 
     n: int
@@ -188,10 +184,13 @@ class LayeredTensor:
         rows = rows.astype(np.int64)  # a private, read-only copy
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+        if not len(rows):  # the checks below take O(order) memory and time
+            object.__setattr__(self, "_lex", np.arange(0))
+            return
         fault = _pattern_fault(rows, self.n)
         if fault is not None:
             i, reason = fault
-            raise MalformedTensor(f"row {i}: entry {tuple(rows[i].tolist())} {reason}")
+            raise MalformedTensor(f"entry {tuple(rows[i].tolist())} {reason}", i)
         # A stable sort, so equal rows are neighbours in row order.
         lex = np.lexsort(rows.T[::-1])
         object.__setattr__(self, "_lex", lex)
@@ -200,8 +199,9 @@ class LayeredTensor:
         if same.size:
             first, second = lex[same[0]: same[0] + 2].tolist()
             raise MalformedTensor(
-                f"rows {first} and {second} hold the same entry "
-                f"{tuple(rows[first].tolist())}"
+                f"duplicate canonical entry: rows {first} and {second} hold "
+                f"the same entry {tuple(rows[first].tolist())}",
+                second,
             )
 
     @property
@@ -233,28 +233,23 @@ class LayeredTensor:
     def from_sparse(cls, t: SymSparseTensor, n: int) -> LayeredTensor:
         """The layered tensor held by ``t``, with original vertices 1..n.
 
-        Raises MalformedTensor when the dimension is not n + order - 1,
-        or at the first entry in canonical order whose value is not
-        1/(order-1)! or whose indices are not a padded edge; that error
-        carries the entry.
+        Raises MalformedTensor when the dimension is not n + order - 1, at
+        the first entry whose value is not 1/(order-1)!, or as the
+        constructor does; an entry's error carries its position in
+        ``t.entries`` as its row.
         """
         k = t.order
         if n < 1 or t.dim != n + k - 1:
             raise MalformedTensor(
                 f"dimension {t.dim} incompatible with n={n} and order {k}"
             )
-        rows = t.index_array()
         value = Fraction(1, math.factorial(k - 1))
-        values = list(t.entries.values())
-        wrong = np.fromiter((v != value for v in values), bool, t.nnz)
-        fault = _pattern_fault(rows, n, [(
-            wrong, lambda i: f"has value {values[i]}, expected 1/{value.denominator}"
-        )])
-        if fault is not None:
-            i, reason = fault
-            entry = tuple(rows[i].tolist())
-            raise MalformedTensor(f"entry {entry} {reason}", entry)
-        return cls(n, k, rows)
+        for i, (tup, v) in enumerate(t.entries.items()):
+            if v != value:
+                raise MalformedTensor(
+                    f"entry {tup} has value {v}, expected 1/{value.denominator}", i
+                )
+        return cls(n, k, t.index_array())
 
 
 def permutation_count(tup: tuple[int, ...]) -> int:

@@ -199,9 +199,8 @@ def test_cli_roundtrip(tmp_path, capsys):
         t = build_e_adjacency(h)
         text = write_tensor(t)
         parsed = parse_tensor(text)
-        assert parsed.tensor == t.to_sparse() and parsed.n == h.n
-        back = LayeredTensor.from_sparse(parsed.tensor, parsed.n)
-        assert write_tensor(back) == text  # byte-exact re-emission
+        assert parsed.to_sparse() == t.to_sparse() and parsed.n == h.n
+        assert write_tensor(parsed) == text  # byte-exact re-emission
 
         src = tmp_path / f"h{pos}.hg"
         src.write_text(

@@ -196,7 +196,7 @@ def test_reconstruct_malformed(tmp_path, capsys):
     )
     code, out, err = run(capsys, "reconstruct", coo)
     assert code == 1
-    assert "error=MalformedTensor" in err
+    assert "error=ParseError" in err
     assert "detail=line 2: entry (5, 6, 6) holds no original vertex" in err
 
     # semantic errors name the file line of the first bad entry in
@@ -211,7 +211,7 @@ def test_reconstruct_malformed(tmp_path, capsys):
     ):
         code, out, err = run(capsys, "reconstruct", write(tmp_path, "bad.coo", header + body))
         assert code == 1 and out == ""
-        assert err == "error=MalformedTensor\n" + detail
+        assert err == "error=ParseError\n" + detail
 
 
 def test_reconstruct_non_positive_header(tmp_path, capsys):
@@ -219,6 +219,19 @@ def test_reconstruct_non_positive_header(tmp_path, capsys):
     code, out, err = run(capsys, "reconstruct", coo)
     assert code == 1
     assert "error=ParseError" in err and "detail=line 1: " in err
+
+    # sizes and indices past int64 are reported at their line, too
+    huge = ("order=2 dim=100000000000000000000 n=99999999999999999999 "
+            "format=canonical-coo\n")
+    small = "order=2 dim=3 n=2 format=canonical-coo\n"
+    for text, detail in (
+        (huge, "line 1: dimension 100000000000000000000 exceeds the int64 index range"),
+        (small + "1 100000000000000000000 1/1\n",
+         "line 2: index 100000000000000000000 outside 1..3"),
+    ):
+        code, out, err = run(capsys, "reconstruct", write(tmp_path, "big.coo", text))
+        assert (code, out) == (1, "")
+        assert err == f"error=ParseError\ndetail={detail}\n"
 
 
 def test_reconstruct_graph(tmp_path, capsys):
@@ -232,15 +245,47 @@ def test_reconstruct_graph(tmp_path, capsys):
     assert out.splitlines() == ["1 2", "2 3"]
 
 
-def test_reconstruct_n_flag_overrides_header(tmp_path, capsys):
+def test_reconstruct_inconsistent_header(tmp_path, capsys):
+    # n is fixed by dim - order + 1, so a header that disagrees is a parse
+    # error at its line; there is no option to override it
     coo = write(
         tmp_path,
         "graph.coo",
-        "order=2 dim=4 n=3 format=canonical-coo\n1 2 1/1\n",
+        "# hand-made\norder=2 dim=4 n=9 format=canonical-coo\n1 2 1/1\n",
     )
-    code, out, err = run(capsys, "reconstruct", coo, "--n", "2")
-    assert code == 1  # dim 4 is inconsistent with n=2 at order 2
-    assert "error=MalformedTensor" in err
+    code, out, err = run(capsys, "reconstruct", coo)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error=ParseError\n"
+        "detail=line 2: dimension 4 incompatible with n=9 and order 2\n"
+    )
+    with pytest.raises(SystemExit):
+        main(["reconstruct", coo, "--n", "3"])
+
+
+@pytest.mark.parametrize(
+    "command", ["build", "stats", "spectral", "reconstruct", "uniformise"]
+)
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff1 2\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error=ParseError\ndetail=line 1: byte 0xff is not UTF-8\n"
+
+
+def test_non_utf8_stdin_names_its_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "hgtensor", "stats", "-"],
+        input="v1\r\nv1 v2\n".encode() + "v\u00e9 ".encode() + b"\xc3(\n",
+        capture_output=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == (
+        "error=ParseError\ndetail=line 3: byte 0xc3 is not UTF-8\n"
+    )
+    assert b"Traceback" not in proc.stderr
 
 
 # --- golden output ----------------------------------------------------------

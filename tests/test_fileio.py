@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgtensor import Hypergraph, LayeredTensor, build_e_adjacency
+from hgtensor import Hypergraph, build_e_adjacency, reconstruct
 from hgtensor.errors import ParseError
 from hgtensor.fileio import (
     format_rational,
@@ -62,9 +66,9 @@ def test_tensor_roundtrip_exact():
         t = build_e_adjacency(h)
         text = write_tensor(t)
         back = parse_tensor(text)
-        assert back.tensor == t.to_sparse() and back.n == h.n
+        assert back.to_sparse() == t.to_sparse() and back.n == h.n
         # writing what was parsed is byte-identical modulo the label comments
-        assert write_tensor(LayeredTensor.from_sparse(back.tensor, back.n)) == text
+        assert write_tensor(back) == text
 
 
 def test_tensor_write_format():
@@ -77,19 +81,19 @@ def test_tensor_write_format():
 
 
 def test_tensor_parse_records_entry_lines():
-    text = (
-        "# written by hand\n"
-        "order=2 dim=4 n=3 format=canonical-coo\n"
-        "2 3 1/1\n"
-        "\n"
-        "# a comment\n"
-        "1 2 1/1  # trailing comment\n"
-    )
+    header = "# written by hand\norder=2 dim=4 n=3 format=canonical-coo\n"
+    text = header + "2 3 1/1\n\n# a comment\n1 2 1/1  # trailing comment\n"
     parsed = parse_tensor(text)
-    assert parsed.n == 3
-    assert list(parsed.tensor.entries) == [(2, 3), (1, 2)]
-    assert parsed.entry_lines == (3, 6)
-    assert parsed.line_of((1, 2)) == 6
+    assert parsed.n == 3 and parsed.order == 2
+    assert parsed.rows.tolist() == [[2, 3], [1, 2]]  # file order
+    # a fault found across rows names the file line of its row
+    with pytest.raises(ParseError) as exc:
+        parse_tensor(header + "2 3 1/1\n\n# a comment\n1 1 1/1\n")
+    assert exc.value.line == 6
+    assert str(exc.value) == "line 6: entry (1, 1) repeats an original vertex"
+    with pytest.raises(ParseError) as exc:
+        parse_tensor(header + "1 2 1/1\n# a comment\n2 3 1/1\n\n1 2 1/1\n")
+    assert exc.value.line == 7 and "duplicate" in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -104,6 +108,9 @@ def test_tensor_parse_records_entry_lines():
         ("1 9 1/1\n", "outside"),
         ("1 1/1\n", "tokens"),
         ("1 2 1/1\n1 2 1/1\n", "duplicate"),
+        ("1 2 1/2\n", "has value 1/2, expected 1/1"),
+        ("1 100000000000000000000 1/1\n", "outside"),
+        ("-100000000000000000000 2 1/1\n", "outside"),
     ],
 )
 def test_tensor_entry_validation(body, message):
@@ -111,6 +118,7 @@ def test_tensor_entry_validation(body, message):
     with pytest.raises(ParseError) as exc:
         parse_tensor(header + body)
     assert message in str(exc.value)
+    assert exc.value.line == 1 + body.count("\n")  # the body's last line
 
 
 def test_tensor_header_validation():
@@ -124,3 +132,85 @@ def test_tensor_header_validation():
         parse_tensor("order=x dim=3 n=2 format=canonical-coo\n")
     with pytest.raises(ParseError, match="positive"):
         parse_tensor("order=0 dim=0 n=0 format=canonical-coo\n")
+    with pytest.raises(ParseError, match="positive"):
+        parse_tensor("order=2 dim=1 n=0 format=canonical-coo\n")
+    # n is fixed by dim and order; a header that disagrees names its line
+    with pytest.raises(ParseError) as exc:
+        parse_tensor("# c\norder=2 dim=4 n=9 format=canonical-coo\n1 2 1/1\n")
+    assert exc.value.line == 2
+    assert str(exc.value) == "line 2: dimension 4 incompatible with n=9 and order 2"
+    with pytest.raises(ParseError, match="line 1: dimension .* exceeds the int64"):
+        parse_tensor(
+            "order=2 dim=100000000000000000000 n=99999999999999999999 "
+            "format=canonical-coo\n"
+        )
+
+
+def test_tensor_without_entries_is_cheap_in_its_order():
+    # Nothing bounds the order of an entry-free file but the header, so
+    # reading one must not take memory or time in proportion to it.
+    tracemalloc.start()
+    try:
+        t = parse_tensor("order=1000000 dim=1999999 n=1000000 format=canonical-coo\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (t.order, t.nnz, reconstruct(t)) == (1_000_000, 0, Hypergraph(1_000_000, ()))
+    assert peak < 1_000_000
+
+
+@st.composite
+def coo_files(draw):
+    """A small hypergraph's tensor and its COO text, with or without labels."""
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1, max_size=4),
+                          min_size=1, max_size=8, unique=True))
+    t = build_e_adjacency(Hypergraph(n, tuple(tuple(sorted(e)) for e in edges)))
+    labels = tuple(f"v{i}" for i in range(1, n + 1)) if draw(st.booleans()) else None
+    return t, labels, write_tensor(t, labels)
+
+
+def padded_edge(row: list[int], n: int) -> bool:
+    """Oracle: ``row`` is increasing originals (<= n), then n + j, ..."""
+    j = next((p for p, v in enumerate(row) if v > n), len(row))
+    return (j >= 1 and row[0] >= 1 and all(a < b for a, b in zip(row, row[1:j]))
+            and row[j:] == list(range(n + j, n + len(row))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_files(), st.data())
+def test_coo_roundtrip_and_single_corruption(case, data):
+    t, labels, text = case
+    back = parse_tensor(text)
+    assert (back.n, back.order) == (t.n, t.order)
+    assert np.array_equal(back.canonical_rows(), t.canonical_rows())
+    assert write_tensor(back, labels) == text
+
+    lines = text.splitlines(keepends=True)
+    first = 1 + (len(labels) if labels else 0)  # index of the first entry line
+    i = data.draw(st.integers(first, len(lines) - 1), label="line index")
+    tokens = lines[i].split()
+    kind = data.draw(st.sampled_from(("move", "value", "duplicate")), label="kind")
+    if kind == "move":
+        p = data.draw(st.integers(0, t.order - 1), label="position")
+        row = list(map(int, tokens[:-1]))
+
+        def moved(v: int) -> list[int]:
+            return row[:p] + [v] + row[p + 1:]
+
+        v = data.draw(st.integers(-1, t.dim + 2).filter(
+            lambda v: not padded_edge(moved(v), t.n)), label="new index")
+        lines[i] = " ".join(map(str, moved(v))) + f" {tokens[-1]}\n"
+        bad_line = i + 1
+    elif kind == "value":
+        spellings = st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 7))
+        token = data.draw(spellings.filter(lambda tok: tok != format_rational(t.value)))
+        lines[i] = " ".join(tokens[:-1]) + f" {token}\n"
+        bad_line = i + 1
+    else:
+        j = data.draw(st.integers(i + 1, len(lines)), label="copy index")
+        lines.insert(j, lines[i])
+        bad_line = j + 1
+    with pytest.raises(ParseError) as exc:
+        parse_tensor("".join(lines))
+    assert exc.value.line == bad_line

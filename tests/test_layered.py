@@ -18,6 +18,7 @@ from hgtensor import (
     reconstruct,
 )
 from hgtensor.errors import MalformedTensor
+from hgtensor.fileio import parse_tensor, write_tensor
 from tests.gen import large_hypergraph
 
 
@@ -68,6 +69,18 @@ def test_empty_tensor_converts_both_ways():
     assert t.to_sparse().entries == {}
     assert LayeredTensor.from_sparse(t.to_sparse(), 3).nnz == 0
     assert reconstruct(t) == Hypergraph(3, ())
+
+
+def test_coo_roundtrip_at_scale():
+    h = large_hypergraph()
+    t = build_e_adjacency(h)
+    text = write_tensor(t)
+    back = parse_tensor(text)
+    assert (back.n, back.order, back.dim) == (t.n, t.order, t.dim) and t.dim >= 10_000
+    assert np.array_equal(back.canonical_rows(), t.canonical_rows())
+    assert write_tensor(back) == text
+    assert reconstruct(back) == reconstruct(t)
+    assert reconstruct(back).canonical() == h.canonical()
 
 
 def test_array_path_at_scale():

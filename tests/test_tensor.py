@@ -300,10 +300,15 @@ def test_reconstruct_rejects_malformed():
         layered({(1, 6, 6): HALF})
     with pytest.raises(MalformedTensor, match="dimension"):  # n does not fit dim
         layered({(1, 5, 6): HALF}, n=3)
-    # the first bad entry in canonical order is reported, and carried
+    # a wrong value is reported first, then the pattern fault that comes
+    # first in canonical order; the error carries the entry's position
     with pytest.raises(MalformedTensor) as exc:
         layered({(2, 5, 6): Fraction(1, 3), (1, 6, 6): HALF, (1, 2, 6): HALF})
-    assert exc.value.entry == (1, 6, 6)
+    assert exc.value.row == 0
+    with pytest.raises(MalformedTensor) as exc:
+        layered({(2, 6, 6): HALF, (1, 6, 6): HALF, (1, 2, 6): HALF})
+    assert exc.value.row == 1
+    assert str(exc.value).startswith("row 1: entry (1, 6, 6) has special indices")
 
 
 def test_roundtrip_on_corpus():
