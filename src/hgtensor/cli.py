@@ -135,16 +135,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_spectral(args: argparse.Namespace) -> int:
-    parsed = _load_hypergraph(args.input)
-    h = parsed.hypergraph
-    t = build_e_adjacency(h)
+    t = build_e_adjacency(_load_hypergraph(args.input).hypergraph)
     if t.order < 2:
         raise OrderTooSmall("spectral analysis needs range >= 2")
     result = largest_h_eigenvalue(t, tol=args.tol, max_iter=args.max_iter)
-    # max(Delta, Delta*) from the edge list: Delta* is the degree of
-    # y_{k_max-1}, held by every edge below the top layer.
-    top = sum(1 for e in h.edges if len(e) == t.order)
-    bound = max(max(h.degrees()), len(h.edges) - top)
+    bound = spectral_bound(degrees_from_tensor(t))
     print(f"lambda={result.eigenvalue:.17g}")
     print(f"bound={bound}")
     satisfied = result.eigenvalue <= bound + BOUND_SLACK

@@ -18,6 +18,7 @@ at the line of any fault; a written file round-trips byte for byte.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +27,9 @@ import numpy as np
 
 from hgtensor.errors import MalformedTensor, ParseError
 from hgtensor.hypergraph import Hypergraph
-from hgtensor.tensor import LayeredTensor
+from hgtensor.tensor import INT64_MAX, LayeredTensor
 
 COO_FORMAT = "canonical-coo"
-INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,18 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _value_token(order: int) -> str:
+    """1/(order-1)! spelled p/q.  ``str(int)`` refuses more than 4,300
+    digits, reached at order 1,560; ``str(Decimal)`` has no such limit."""
+    return f"1/{decimal.Decimal(math.factorial(order - 1))}"
+
+
 def _check_value(token: str, order: int, entry: list[int], lineno: int) -> str:
     """Check that ``token`` is 1/(order-1)! as p/q in lowest terms, q > 0;
     return the spelling ``write_tensor`` gives that value."""
+    expected = _value_token(order)
+    if token == expected:
+        return expected
     try:
         p, q = map(int, token.split("/"))
     except ValueError:
@@ -92,18 +101,17 @@ def _check_value(token: str, order: int, entry: list[int], lineno: int) -> str:
         raise ParseError(lineno, f"value {token!r} is not in lowest terms")
     if p == 0:
         raise ParseError(lineno, "stored entries must be nonzero")
-    value, expected = Fraction(p, q), Fraction(1, math.factorial(order - 1))
-    if value != expected:
-        raise ParseError(lineno, f"entry {tuple(entry)} has value {value}, "
-                                 f"expected {format_rational(expected)}")
-    return format_rational(expected)
+    if (p, q) != (1, math.factorial(order - 1)):
+        raise ParseError(lineno, f"entry {tuple(entry)} has value {Fraction(p, q)}, "
+                                 f"expected {expected}")
+    return expected
 
 
 def write_tensor(t: LayeredTensor, labels: tuple[str, ...] | None = None) -> str:
     lines = [f"order={t.order} dim={t.dim} n={t.n} format={COO_FORMAT}"]
     if labels is not None:
         lines += [f"# label {i} = {lab}" for i, lab in enumerate(labels, start=1)]
-    entry = " ".join(["%d"] * t.order) + f" {format_rational(t.value)}"
+    entry = " ".join(["%d"] * t.order) + f" {_value_token(t.order)}"
     lines += [entry % tuple(row) for row in t.canonical_rows().tolist()]
     return "".join(line + "\n" for line in lines)
 

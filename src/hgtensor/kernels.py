@@ -1,7 +1,7 @@
 """The sparse symmetric tensor-vector product A x^{k-1}, in NumPy.
 
 This is the only inner loop of the power iteration; it operates on the
-canonical square-free COO arrays that a tensor's ``coords()`` returns.
+canonical square-free COO arrays that ``LayeredTensor.coords()`` returns.
 """
 
 from __future__ import annotations

@@ -8,11 +8,14 @@ A x^{k-1} = lambda x^{[k-1]}) satisfies |lambda| <= max(Delta, Delta*),
 the larger of the maximal original-vertex and special-vertex degrees;
 for an r-regular r-uniform hypergraph the bound is attained.
 
-``largest_h_eigenvalue`` runs a nonnegative-tensor power iteration on
-the shifted tensor A + I (H-eigenpairs shift by exactly 1, which is
-subtracted back); any positive shift makes the iteration primitive.  The
-iterate is normalised to max 1, so its entries stay of order 1 at every
-dimension; see the function docstring for the two stopping rules.
+The product and the solver read only a ``LayeredTensor``, whose entries
+all hold 1/(k-1)! > 0 and are square-free by construction, so neither
+checks sign or repeated indices.  ``largest_h_eigenvalue`` runs a
+nonnegative-tensor power iteration on the shifted tensor A + I
+(H-eigenpairs shift by exactly 1, which is subtracted back); any
+positive shift makes the iteration primitive.  The iterate is normalised
+to max 1, so its entries stay of order 1 at every dimension; see the
+function docstring for the two stopping rules.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from hgtensor import kernels
 from hgtensor.errors import DimensionMismatch, NoConvergence, OrderTooSmall
-from hgtensor.tensor import LayeredTensor, SymSparseTensor
+from hgtensor.tensor import LayeredTensor
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def spectral_bound(report: DegreeReport) -> int:
     return max(report.delta, report.delta_star)
 
 
-def apply(t: LayeredTensor | SymSparseTensor, x) -> np.ndarray:
+def apply(t: LayeredTensor, x) -> np.ndarray:
     """Multilinear product A x^{k-1}: component i sums value * x_{i_2}...x_{i_k}
     over all semantic tuples (i, i_2, ..., i_k)."""
     x = np.asarray(x, dtype=np.float64)
@@ -101,13 +104,16 @@ def apply(t: LayeredTensor | SymSparseTensor, x) -> np.ndarray:
 
 
 def largest_h_eigenvalue(
-    t: LayeredTensor | SymSparseTensor,
+    t: LayeredTensor,
     tol: float = 1e-10,
     max_iter: int = 100_000,
     shift: float = 1.0,
     residual_tol: float = 1e-12,
 ) -> EigenResult:
-    """Largest H-eigenvalue of a nonnegative symmetric tensor.
+    """Largest H-eigenvalue of a layered e-adjacency tensor.
+
+    The tensor is nonnegative (every entry holds 1/(k-1)!), as the
+    power iteration below requires.
 
     Power iteration x <- (A x^{k-1} + sigma * x^{[k-1]})^{[1/(k-1)]} from
     x = (1, ..., 1), renormalised to max 1, with sigma = ``shift``
@@ -137,9 +143,6 @@ def largest_h_eigenvalue(
         raise OrderTooSmall("the eigensolver needs a tensor of order >= 2")
     k = t.order
     indices, values = t.coords()
-    # signbit also catches a negative value too small to survive as a float.
-    if np.signbit(values).any():
-        raise ValueError("tensor must be nonnegative")
 
     x = np.ones(t.dim)
     root = 1.0 / (k - 1)

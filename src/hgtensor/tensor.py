@@ -13,10 +13,10 @@ Since every entry holds the same value, the tensor *is* its padded edge
 array: ``LayeredTensor`` stores the (|E|, k_max) integer array of those
 tuples, checked once with array operations when it is made, and answers
 degrees, the handshake total, reconstruction and the solver's COO arrays
-from it.  ``SymSparseTensor`` is the general exact container (a dict of
-``Fraction`` values): the homogenisation route and the exact oracles use
-it, and ``LayeredTensor.to_sparse`` / ``LayeredTensor.from_sparse``
-convert between the two.
+from it; it is the only tensor the solver reads.  ``SymSparseTensor`` is
+the general exact container (a dict of ``Fraction`` values): the
+homogenisation route and the exact oracles use it, and
+``LayeredTensor.to_sparse`` is the one conversion between the two.
 
 Two independent routes build the tensor: the direct padding formula
 above, and the polynomial homogenisation route (per-layer adjacency
@@ -26,7 +26,7 @@ entry, and the construction is bijective: the hypergraph is recovered
 from the tensor with no ambiguity.
 
 All values here are exact rationals; floating point enters only through
-``coords``, the solver's COO arrays.
+``LayeredTensor.coords``, the solver's COO arrays.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from hgtensor.polynomial import Polynomial
 from hgtensor.uniformise import _prepare
 
 DENSE_LIMIT = 1_000_000
+INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -87,29 +88,6 @@ class SymSparseTensor:
         if len(indices) != self.order:
             raise ValueError(f"need {self.order} indices, got {len(indices)}")
         return self.entries.get(tuple(sorted(indices)), Fraction(0))
-
-    def index_array(self) -> np.ndarray:
-        """The (nnz, order) array of 1-based index tuples, in entry order."""
-        flat = np.fromiter(
-            itertools.chain.from_iterable(self.entries),
-            np.int64,
-            self.nnz * self.order,
-        )
-        return flat.reshape(self.nnz, self.order)
-
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based COO indices and float values; square-free tuples only."""
-        indices = self.index_array() - 1
-        # Canonical tuples are non-decreasing, so a repeat is an equal neighbour.
-        repeated = np.flatnonzero((indices[:, 1:] == indices[:, :-1]).any(axis=1))
-        if repeated.size:
-            tup = tuple((indices[repeated[0]] + 1).tolist())
-            raise UnexpectedRepeatedIndex(
-                f"entry {tup} repeats an index; the sparse product "
-                "only supports square-free tensors"
-            )
-        values = np.fromiter(self.entries.values(), np.float64, self.nnz)
-        return indices, values
 
 
 def _pattern_fault(rows: np.ndarray, n: int) -> tuple[int, str] | None:
@@ -174,6 +152,8 @@ class LayeredTensor:
             raise MalformedTensor(
                 f"need n >= 1 and order >= 1, got n={self.n}, order={self.order}"
             )
+        if self.dim > INT64_MAX:
+            raise MalformedTensor(f"dimension {self.dim} exceeds the int64 index range")
         rows = np.asarray(self.rows)
         if rows.ndim != 2 or rows.shape[1] != self.order:
             raise MalformedTensor(
@@ -228,28 +208,6 @@ class LayeredTensor:
         """The same tensor as an exact ``SymSparseTensor``."""
         entries = dict.fromkeys(map(tuple, self.rows.tolist()), self.value)
         return SymSparseTensor(self.order, self.dim, entries)
-
-    @classmethod
-    def from_sparse(cls, t: SymSparseTensor, n: int) -> LayeredTensor:
-        """The layered tensor held by ``t``, with original vertices 1..n.
-
-        Raises MalformedTensor when the dimension is not n + order - 1, at
-        the first entry whose value is not 1/(order-1)!, or as the
-        constructor does; an entry's error carries its position in
-        ``t.entries`` as its row.
-        """
-        k = t.order
-        if n < 1 or t.dim != n + k - 1:
-            raise MalformedTensor(
-                f"dimension {t.dim} incompatible with n={n} and order {k}"
-            )
-        value = Fraction(1, math.factorial(k - 1))
-        for i, (tup, v) in enumerate(t.entries.items()):
-            if v != value:
-                raise MalformedTensor(
-                    f"entry {tup} has value {v}, expected 1/{value.denominator}", i
-                )
-        return cls(n, k, t.index_array())
 
 
 def permutation_count(tup: tuple[int, ...]) -> int:
@@ -416,8 +374,8 @@ def reconstruct(t: LayeredTensor) -> Hypergraph:
     """Invert ``build_e_adjacency``: recover the hypergraph from the tensor.
 
     Each row, taken in canonical order, encodes one hyperedge: its
-    indices <= n.  Use ``LayeredTensor.from_sparse`` to check a general
-    tensor against the layered pattern first.
+    indices <= n.  A tensor from outside reaches this as a checked
+    ``LayeredTensor``: through ``fileio.parse_tensor`` or the constructor.
     """
     rows = t.canonical_rows()
     originals = rows <= t.n

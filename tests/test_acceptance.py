@@ -17,7 +17,6 @@ import pytest
 from hgtensor import (
     Hypergraph,
     LayeredTensor,
-    SymSparseTensor,
     build_e_adjacency,
     degrees_from_tensor,
     edge_count_from_handshake,
@@ -30,8 +29,8 @@ from hgtensor import (
     to_dense,
 )
 from hgtensor.cli import main
-from hgtensor.errors import MalformedTensor
-from hgtensor.fileio import parse_tensor, write_tensor
+from hgtensor.errors import MalformedTensor, ParseError
+from hgtensor.fileio import format_rational, parse_tensor, write_tensor
 from tests.gen import corpus, graph_corpus
 
 CORPUS = corpus(count=200)
@@ -152,20 +151,19 @@ def test_regular_uniform_equality():
         assert abs(result.eigenvalue - bound) <= 1e-6
 
 
-def _corrupt_value(t: SymSparseTensor) -> SymSparseTensor:
-    entries = dict(t.entries)
-    tup = next(iter(sorted(entries)))
-    entries[tup] = entries[tup] * 2
-    return SymSparseTensor(t.order, t.dim, entries)
+def _corrupt_value(t: LayeredTensor) -> str:
+    """The COO text of ``t`` with its first entry's value doubled."""
+    header, first, *rest = write_tensor(t).splitlines(keepends=True)
+    *indices, value = first.split()
+    bad = format_rational(2 * Fraction(value))
+    return "".join([header, " ".join(indices) + f" {bad}\n", *rest])
 
 
-def _corrupt_index(t: SymSparseTensor) -> SymSparseTensor:
-    entries = dict(t.entries)
-    tup = next(iter(sorted(entries)))
-    value = entries.pop(tup)
-    bad = tuple(sorted((tup[0],) + tup[:-1]))  # duplicate the first index
-    entries[bad] = value
-    return SymSparseTensor(t.order, t.dim, entries)
+def _corrupt_index(t: LayeredTensor) -> np.ndarray:
+    """The rows of ``t`` with the first entry's first index duplicated."""
+    rows = t.canonical_rows().copy()
+    rows[0] = sorted([rows[0][0], *rows[0][:-1]])
+    return rows
 
 
 @acceptance(7, "bijective reconstruction")
@@ -173,13 +171,12 @@ def test_bijective_reconstruction():
     for h in CORPUS:
         t = build_e_adjacency(h)
         assert reconstruct(t).canonical() == h.canonical()
-        exact = t.to_sparse()
-        assert reconstruct(LayeredTensor.from_sparse(exact, h.n)).canonical() == h.canonical()
-        with pytest.raises(MalformedTensor):
-            reconstruct(LayeredTensor.from_sparse(_corrupt_value(exact), h.n))
+        assert reconstruct(parse_tensor(write_tensor(t))).canonical() == h.canonical()
+        with pytest.raises(ParseError, match="has value"):
+            parse_tensor(_corrupt_value(t))
         if t.order >= 2:
             with pytest.raises(MalformedTensor):
-                reconstruct(LayeredTensor.from_sparse(_corrupt_index(exact), h.n))
+                LayeredTensor(h.n, t.order, _corrupt_index(t))
 
 
 @acceptance(8, "order-2 dense oracle")

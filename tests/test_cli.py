@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -186,6 +187,24 @@ def test_build_reconstruct_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "reconstruct", str(coo))
     assert code == 0
     assert sorted(out.splitlines()) == ["1", "1 2", "2 3 4"]
+
+
+def test_build_reconstruct_past_the_int_str_digit_limit(tmp_path, capsys):
+    # 1/(k-1)! at k = 1,602 has a 4,437-digit denominator, more than the
+    # 4,300 digits str(int) and int(str) accept by default
+    k = 1602
+    src = write(tmp_path, "wide.hg", " ".join(f"v{i}" for i in range(1, k + 1)) + "\n")
+    coo = tmp_path / "wide.coo"
+    code, _, err = run(capsys, "build", src, "--output", str(coo))
+    assert code == 0 and fields(err)["k_max"] == str(k)
+    value = coo.read_text().split()[-1]
+    digits = value.removeprefix("1/")
+    q = 0
+    for i in range(0, len(digits), 1000):  # int() takes up to 4,300 digits
+        q = q * 10 ** len(digits[i : i + 1000]) + int(digits[i : i + 1000])
+    assert len(digits) == 4437 and q == math.factorial(k - 1)
+    code, out, _ = run(capsys, "reconstruct", str(coo))
+    assert (code, out) == (0, " ".join(map(str, range(1, k + 1))) + "\n")
 
 
 def test_reconstruct_malformed(tmp_path, capsys):

@@ -121,6 +121,20 @@ def test_tensor_entry_validation(body, message):
     assert exc.value.line == 1 + body.count("\n")  # the body's last line
 
 
+def test_tensor_value_past_the_int_str_digit_limit():
+    # 1/(k-1)! at k = 1,602 has a 4,437-digit denominator, more than the
+    # 4,300 digits str(int) and int(str) accept by default
+    k = 1602
+    text = write_tensor(build_e_adjacency(Hypergraph(k, (tuple(range(1, k + 1)),))))
+    assert write_tensor(parse_tensor(text)) == text
+    header, entry = text.splitlines(keepends=True)
+    *indices, value = entry.split()
+    with pytest.raises(ParseError) as exc:
+        parse_tensor(header + " ".join(indices) + " 1/2\n")
+    assert exc.value.line == 2
+    assert str(exc.value).endswith(f"has value 1/2, expected {value}")
+
+
 def test_tensor_header_validation():
     with pytest.raises(ParseError):
         parse_tensor("")

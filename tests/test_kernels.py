@@ -42,7 +42,8 @@ def test_kernel_matches_exact_enumeration():
         t = random_square_free_tensor(rng, dim, order)
         xq = [Fraction(rng.randint(0, 5), 2) for _ in range(dim)]
         expected = [float(v) for v in semantic_apply(t, xq)]
-        indices, values = t.coords()
+        indices = np.array(list(t.entries), dtype=np.int64).reshape(-1, order) - 1
+        values = np.array([float(v) for v in t.entries.values()])
         got = apply_coords(indices, values, np.array([float(v) for v in xq]))
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), t
 

@@ -14,7 +14,6 @@ from hgtensor import (
     DegreeReport,
     Hypergraph,
     LayeredTensor,
-    SymSparseTensor,
     apply,
     build_e_adjacency,
     degrees_from_tensor,
@@ -28,8 +27,9 @@ from hgtensor.errors import (
     MalformedTensor,
     NoConvergence,
     OrderTooSmall,
-    UnexpectedRepeatedIndex,
+    ParseError,
 )
+from hgtensor.fileio import parse_tensor, write_tensor
 from tests.gen import corpus, graph_corpus
 
 EXAMPLE = Hypergraph(4, ((1,), (1, 2), (2, 3, 4)))
@@ -93,72 +93,70 @@ def test_degrees_rejects_malformed():
     # A degree report is only made from a LayeredTensor, and both ways to
     # make one reject a tensor that is not layered.
     t = build_e_adjacency(EXAMPLE)
+    text = write_tensor(t)
+    with pytest.raises(ParseError, match="incompatible with n=3"):
+        parse_tensor(text.replace(" n=4 ", " n=3 ", 1))
+    with pytest.raises(ParseError, match="no original vertex"):
+        parse_tensor(text.replace("\n1 5 6 ", "\n5 6 6 ", 1))
     with pytest.raises(MalformedTensor):
-        LayeredTensor.from_sparse(t.to_sparse(), 3)
-    with pytest.raises(MalformedTensor):
-        LayeredTensor.from_sparse(SymSparseTensor(3, 6, {(5, 6, 6): Fraction(1, 2)}), 4)
+        LayeredTensor(3, 3, t.rows)
     with pytest.raises(MalformedTensor):
         LayeredTensor(4, 3, np.array([[5, 6, 6]]))
 
 
 @st.composite
-def maybe_corrupted_tensors(draw):
-    """A small hypergraph's tensor, with at most one entry corrupted: one
-    index moved (the tuple staying non-decreasing) or the value changed."""
+def maybe_corrupted_rows(draw):
+    """A small hypergraph's padded rows, in edge order, with at most one
+    index moved (the row staying non-decreasing)."""
     n = draw(st.integers(1, 6))
     edges = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1, max_size=4),
                           min_size=1, max_size=8, unique=True))
-    t = build_e_adjacency(Hypergraph(n, tuple(tuple(sorted(e)) for e in edges))).to_sparse()
-    entries = dict(t.entries)
-    kind = draw(st.sampled_from(("none", "move", "value")))
-    if kind != "none":
-        tup = draw(st.sampled_from(sorted(entries)))
-        value = entries.pop(tup)
-        if kind == "move":
-            p = draw(st.integers(0, t.order - 1))
-            lo = tup[p - 1] if p > 0 else 1
-            hi = tup[p + 1] if p + 1 < t.order else t.dim
-            moves = [i for i in range(lo, hi + 1) if i != tup[p]]
-            if moves:
-                tup = tup[:p] + (draw(st.sampled_from(moves)),) + tup[p + 1 :]
-        else:
-            value = draw(st.fractions(-2, 2, max_denominator=30).filter(
-                lambda v: v != 0 and v != value))
-        entries[tup] = value
-    return n, SymSparseTensor(t.order, t.dim, entries)
+    t = build_e_adjacency(Hypergraph(n, tuple(tuple(sorted(e)) for e in edges)))
+    rows = [tuple(row) for row in t.rows.tolist()]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        tup = rows[i]
+        p = draw(st.integers(0, t.order - 1))
+        lo = tup[p - 1] if p > 0 else 1
+        hi = tup[p + 1] if p + 1 < t.order else t.dim
+        moves = [v for v in range(lo, hi + 1) if v != tup[p]]
+        if moves:
+            rows[i] = tup[:p] + (draw(st.sampled_from(moves)),) + tup[p + 1 :]
+    return n, t.order, rows
 
 
-def layered_oracle(t: SymSparseTensor, n: int) -> Hypergraph | None:
-    """Oracle: the hypergraph ``t`` encodes, checked entry by entry, or
-    None when some entry is not a padded edge of value 1/(k-1)!."""
-    k = t.order
-    value = Fraction(1, math.factorial(k - 1))
+def layered_oracle(rows: list[tuple[int, ...]], n: int, k: int) -> Hypergraph | None:
+    """Oracle: the hypergraph the non-decreasing ``rows`` encode, checked
+    row by row, or None when some row is not a padded edge or two rows
+    are equal."""
+    if len(set(rows)) != len(rows):
+        return None
     edges = []
-    for tup, v in sorted(t.entries.items()):
+    for tup in rows:
         j = sum(1 for i in tup if i <= n)
-        originals = tup[:j]  # canonical tuples are non-decreasing
-        if (v != value or j == 0 or len(set(originals)) != j
-                or tup[j:] != tuple(range(n + j, n + k))):
+        originals = tup[:j]
+        if j == 0 or len(set(originals)) != j or tup[j:] != tuple(range(n + j, n + k)):
             return None
         edges.append(originals)
     return Hypergraph(n, tuple(edges))
 
 
 @settings(max_examples=300, deadline=None)
-@given(maybe_corrupted_tensors())
+@given(maybe_corrupted_rows())
 def test_degrees_agree_with_reconstruction(case):
-    n, t = case
-    h = layered_oracle(t, n)
+    n, k, rows = case
+    h = layered_oracle(rows, n, k)
     if h is None:
         with pytest.raises(MalformedTensor):
-            LayeredTensor.from_sparse(t, n)
+            LayeredTensor(n, k, np.array(rows))
         return
-    layered = LayeredTensor.from_sparse(t, n)
-    assert layered.to_sparse() == t
+    layered = LayeredTensor(n, k, np.array(rows))
+    value = Fraction(1, math.factorial(k - 1))
+    assert layered.to_sparse().entries == dict.fromkeys(rows, value)
     assert reconstruct(layered).canonical() == h.canonical()
     report = degrees_from_tensor(layered)
-    assert report == direct_report(h, t.order)
-    assert np.allclose(apply(t, np.ones(t.dim)), report.degrees, atol=1e-12)
+    assert report == direct_report(h, k)
+    assert np.allclose(apply(layered, np.ones(layered.dim)), report.degrees, atol=1e-12)
 
 
 # --- bound -------------------------------------------------------------------
@@ -193,12 +191,6 @@ def test_apply_dimension_mismatch():
     t = build_e_adjacency(EXAMPLE)
     with pytest.raises(DimensionMismatch):
         apply(t, np.ones(5))
-
-
-def test_apply_rejects_diagonal_entries():
-    t = SymSparseTensor(2, 2, {(1, 1): Fraction(1)})
-    with pytest.raises(UnexpectedRepeatedIndex):
-        apply(t, np.ones(2))
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -251,12 +243,6 @@ def test_eigen_periodic_and_reducible_cases(h, expected):
 def test_eigen_rejects_order_1():
     with pytest.raises(OrderTooSmall):
         largest_h_eigenvalue(build_e_adjacency(Hypergraph(1, ((1,),))))
-
-
-def test_eigen_rejects_negative_values():
-    t = SymSparseTensor(2, 2, {(1, 2): Fraction(-1)})
-    with pytest.raises(ValueError):
-        largest_h_eigenvalue(t)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -32,9 +33,11 @@ from hgtensor.errors import (
     MalformedTensor,
     NotHomogeneous,
     NotUniform,
+    ParseError,
     RepeatedHyperedge,
     UnexpectedRepeatedIndex,
 )
+from hgtensor.fileio import parse_tensor
 from tests.gen import corpus
 
 EXAMPLE = Hypergraph(4, ((1,), (1, 2), (2, 3, 4)))
@@ -275,8 +278,9 @@ def test_handshake_worked_example():
 
 
 def test_reconstruct_worked_example():
-    t = SymSparseTensor(3, 6, {(1, 5, 6): HALF, (1, 2, 6): HALF, (2, 3, 4): HALF})
-    h = reconstruct(LayeredTensor.from_sparse(t, 4))
+    text = ("order=3 dim=6 n=4 format=canonical-coo\n"
+            "1 5 6 1/2\n1 2 6 1/2\n2 3 4 1/2\n")
+    h = reconstruct(parse_tensor(text))
     assert sorted(h.edges) == [(1,), (1, 2), (2, 3, 4)]
     assert h.n == 4
 
@@ -287,26 +291,32 @@ def test_reconstruct_graph_is_identity():
 
 
 def test_reconstruct_rejects_malformed():
-    def layered(entries, n=4):
-        return LayeredTensor.from_sparse(SymSparseTensor(3, 6, entries), n)
+    # A tensor from outside reaches ``reconstruct`` through the COO reader
+    # or the constructor; both reject one that is not layered.
+    def layered(body, n=4):
+        return parse_tensor(f"order=3 dim=6 n={n} format=canonical-coo\n" + body)
 
-    with pytest.raises(MalformedTensor, match="no original"):
-        layered({(5, 6, 6): HALF})
-    with pytest.raises(MalformedTensor, match="has value 1/3, expected 1/2"):
-        layered({(1, 5, 6): Fraction(1, 3)})
-    with pytest.raises(MalformedTensor, match="repeats an original"):
-        layered({(1, 1, 6): HALF})
-    with pytest.raises(MalformedTensor, match="not the suffix"):  # wrong level
-        layered({(1, 6, 6): HALF})
-    with pytest.raises(MalformedTensor, match="dimension"):  # n does not fit dim
-        layered({(1, 5, 6): HALF}, n=3)
-    # a wrong value is reported first, then the pattern fault that comes
-    # first in canonical order; the error carries the entry's position
+    with pytest.raises(ParseError, match="no original"):
+        layered("5 6 6 1/2\n")
+    with pytest.raises(ParseError, match="has value 1/3, expected 1/2"):
+        layered("1 5 6 1/3\n")
+    with pytest.raises(ParseError, match="repeats an original"):
+        layered("1 1 6 1/2\n")
+    with pytest.raises(ParseError, match="not the suffix"):  # wrong level
+        layered("1 6 6 1/2\n")
+    with pytest.raises(ParseError, match="dimension"):  # n does not fit dim
+        layered("1 5 6 1/2\n", n=3)
+    # a wrong value is reported at its line before any pattern fault; a
+    # pattern fault at the line of the bad row first in canonical order
+    with pytest.raises(ParseError) as exc:
+        layered("1 2 6 1/2\n1 6 6 1/2\n2 5 6 1/3\n")
+    assert exc.value.line == 4
+    with pytest.raises(ParseError) as exc:
+        layered("2 6 6 1/2\n1 6 6 1/2\n1 2 6 1/2\n")
+    assert exc.value.line == 3
+    assert str(exc.value).startswith("line 3: entry (1, 6, 6) has special indices")
     with pytest.raises(MalformedTensor) as exc:
-        layered({(2, 5, 6): Fraction(1, 3), (1, 6, 6): HALF, (1, 2, 6): HALF})
-    assert exc.value.row == 0
-    with pytest.raises(MalformedTensor) as exc:
-        layered({(2, 6, 6): HALF, (1, 6, 6): HALF, (1, 2, 6): HALF})
+        LayeredTensor(4, 3, np.array([[2, 6, 6], [1, 6, 6], [1, 2, 6]]))
     assert exc.value.row == 1
     assert str(exc.value).startswith("row 1: entry (1, 6, 6) has special indices")
 
@@ -321,8 +331,6 @@ def test_roundtrip_on_corpus():
 
 
 def test_to_dense_symmetric():
-    import numpy as np
-
     t = build_e_adjacency(Hypergraph(2, ((1, 2),)))
     dense = to_dense(t.to_sparse())
     assert dense.shape == (3, 3)
