@@ -25,16 +25,13 @@ from hgtensor.tensor import (
     edge_count_from_handshake,
     layer_adjacency,
     permutation_count,
-    php_build,
     php_polynomials,
     polynomial_to_tensor,
     reconstruct,
     semantic_total,
     tensor_to_polynomial,
-    to_dense,
 )
 from hgtensor.uniformise import (
-    SpecialVertex,
     UniformisedHypergraph,
     default_coefficients,
     merge,
@@ -51,7 +48,6 @@ __all__ = [
     "Hypergraph",
     "LayeredTensor",
     "Polynomial",
-    "SpecialVertex",
     "SymSparseTensor",
     "UniformisedHypergraph",
     "WeightedHypergraph",
@@ -65,14 +61,12 @@ __all__ = [
     "layer_adjacency",
     "merge",
     "permutation_count",
-    "php_build",
     "php_polynomials",
     "polynomial_to_tensor",
     "reconstruct",
     "semantic_total",
     "spectral_bound",
     "tensor_to_polynomial",
-    "to_dense",
     "uniform_weights",
     "uniformise",
     "uniformise_iterative",

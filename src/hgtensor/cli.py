@@ -17,10 +17,8 @@ import numpy as np
 
 from hgtensor import fileio
 from hgtensor.errors import (
-    EmptyHypergraph,
     HgTensorError,
     NoConvergence,
-    OrderTooSmall,
     ParseError,
     RepeatedHyperedge,
 )
@@ -136,8 +134,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_spectral(args: argparse.Namespace) -> int:
     t = build_e_adjacency(_load_hypergraph(args.input).hypergraph)
-    if t.order < 2:
-        raise OrderTooSmall("spectral analysis needs range >= 2")
     result = largest_h_eigenvalue(t, tol=args.tol, max_iter=args.max_iter)
     bound = spectral_bound(degrees_from_tensor(t))
     print(f"lambda={result.eigenvalue:.17g}")
@@ -151,16 +147,13 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     h = reconstruct(fileio.parse_tensor(_read(args.input)))
-    for e in h.edges:
-        print(" ".join(str(v) for v in e))
+    sys.stdout.write(fileio.write_hypergraph(h))
     return 0
 
 
 def cmd_uniformise(args: argparse.Namespace) -> int:
     parsed = _load_hypergraph(args.input)
     h = parsed.hypergraph
-    if not h.edges:
-        raise EmptyHypergraph("cannot uniformise an empty edge family")
     uni = uniformise(h)
     for edge, weight in zip(uni.edges, uni.weights):
         members = [

@@ -72,13 +72,6 @@ class Hypergraph:
             by_size[len(e) - 1].append(e)
         return [Hypergraph(self.n, tuple(group)) for group in by_size]
 
-    def degree(self, v: int) -> int:
-        """Number of hyperedges containing vertex v."""
-        _require_int(v, "vertex index")
-        if v < 1 or v > self.n:
-            raise UnknownVertex(f"vertex {v!r} is outside 1..{self.n}")
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> tuple[int, ...]:
         counts = [0] * self.n
         for e in self.edges:
@@ -99,10 +92,6 @@ class Hypergraph:
         pair = self.find_repeated_edge()
         if pair is not None:
             raise RepeatedHyperedge(*pair)
-
-    def canonical(self) -> Hypergraph:
-        """Same hypergraph with edges sorted lexicographically."""
-        return Hypergraph(self.n, tuple(sorted(self.edges)))
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,6 @@ class Polynomial:
         object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
         return p
 
-    @classmethod
-    def zero(cls, nvars: int) -> Polynomial:
-        return cls(nvars, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: Polynomial) -> Polynomial:
         if self.nvars != other.nvars:
             raise ValueError("cannot add polynomials over different universes")
@@ -85,10 +78,3 @@ class Polynomial:
             raise ValueError("cannot shrink the variable universe")
         pad = (0,) * (nvars - self.nvars)
         return Polynomial._derived(nvars, {e + pad: v for e, v in self.terms.items()})
-
-    def is_homogeneous(self, degree: int) -> bool:
-        """True when every monomial has the given total degree (vacuous if zero)."""
-        return all(sum(e) == degree for e in self.terms)
-
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))

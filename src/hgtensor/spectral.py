@@ -29,6 +29,10 @@ from hgtensor import kernels
 from hgtensor.errors import DimensionMismatch, NoConvergence, OrderTooSmall
 from hgtensor.tensor import LayeredTensor
 
+# The power iteration's shift sigma, and its absolute residual bound.
+SHIFT = 1.0
+RESIDUAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DegreeReport:
@@ -45,10 +49,6 @@ class DegreeReport:
     k_max: int
     degrees: tuple[int, ...]
     layer_counts: tuple[int, ...]
-
-    @property
-    def n_edges(self) -> int:
-        return sum(self.layer_counts)
 
     @property
     def delta(self) -> int:
@@ -107,8 +107,6 @@ def largest_h_eigenvalue(
     t: LayeredTensor,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    shift: float = 1.0,
-    residual_tol: float = 1e-12,
 ) -> EigenResult:
     """Largest H-eigenvalue of a layered e-adjacency tensor.
 
@@ -116,29 +114,29 @@ def largest_h_eigenvalue(
     power iteration below requires.
 
     Power iteration x <- (A x^{k-1} + sigma * x^{[k-1]})^{[1/(k-1)]} from
-    x = (1, ..., 1), renormalised to max 1, with sigma = ``shift``
-    (H-eigenvalues of the shifted tensor are exactly lambda + sigma, so
-    the shift is subtracted without error; Ng-Qi-Zhou 2009).  Two rules:
+    x = (1, ..., 1), renormalised to max 1, with the fixed sigma = ``SHIFT``
+    = 1 (H-eigenvalues of the shifted tensor are exactly lambda + sigma,
+    so the shift is subtracted without error; Ng-Qi-Zhou 2009).  Two rules:
 
     * Perron bracket: the component-wise ratios y_i / x_i^{k-1} bracket
       the shifted eigenvalue; converged when max - min < ``tol``.
     * Residual: converged when the unshifted residual
-      max_i |(A x^{k-1})_i - lambda * x_i^{k-1}| <= ``residual_tol``,
+      max_i |(A x^{k-1})_i - lambda * x_i^{k-1}| <= ``RESIDUAL_TOL``
+      = 1e-12,
       with lambda the quotient sum(x * A x^{k-1}) / sum(x^k).  This rule
       also covers tensors whose bracket cannot close: zero rows pin the
       min ratio at sigma and non-dominant irreducible blocks pin it at
       their own eigenvalue, while their components (and hence the
       residual) decay geometrically.
 
-    Returns the vector at unit 1-norm.  Raises ValueError for max_iter < 1,
-    a tolerance not >= 0 (NaN included) or a shift not > 0, and
+    Returns the vector at unit 1-norm.  Raises ValueError for max_iter < 1
+    or a ``tol`` not >= 0 (NaN included), OrderTooSmall below order 2, and
     NoConvergence with the last bracket if ``max_iter`` is hit.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not (tol >= 0 and residual_tol >= 0 and shift > 0):
-        raise ValueError(f"need tol, residual_tol >= 0 and shift > 0, got "
-                         f"{tol}, {residual_tol}, {shift}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if t.order < 2:
         raise OrderTooSmall("the eigensolver needs a tensor of order >= 2")
     k = t.order
@@ -153,13 +151,13 @@ def largest_h_eigenvalue(
         lam = float(np.dot(x, ax) / np.sum(x * xk1))
         residual = float(np.max(np.abs(ax - lam * xk1)))
 
-        y = ax + shift * xk1
+        y = ax + SHIFT * xk1
         positive = xk1 > 0.0
         ratios = y[positive] / xk1[positive]
-        lam_lo = float(ratios.min()) - shift
-        lam_hi = float(ratios.max()) - shift
+        lam_lo = float(ratios.min()) - SHIFT
+        lam_hi = float(ratios.max()) - SHIFT
 
-        if (lam_hi - lam_lo) < tol or residual <= residual_tol:
+        if (lam_hi - lam_lo) < tol or residual <= RESIDUAL_TOL:
             return EigenResult(lam, x / x.sum(), iteration, residual)
 
         x = y**root

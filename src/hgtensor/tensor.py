@@ -26,7 +26,8 @@ entry, and the construction is bijective: the hypergraph is recovered
 from the tensor with no ambiguity.
 
 All values here are exact rationals; floating point enters only through
-``LayeredTensor.coords``, the solver's COO arrays.
+``LayeredTensor.coords``, the solver's COO arrays, which carry each
+entry times (k_max - 1)!, i.e. exactly 1.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from hgtensor.hypergraph import Hypergraph, _require_int
 from hgtensor.polynomial import Polynomial
 from hgtensor.uniformise import _prepare
 
-DENSE_LIMIT = 1_000_000
 INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -82,12 +81,6 @@ class SymSparseTensor:
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def value_at(self, indices: Sequence[int]) -> Fraction:
-        """Semantic lookup: any permutation resolves to the sorted tuple."""
-        if len(indices) != self.order:
-            raise ValueError(f"need {self.order} indices, got {len(indices)}")
-        return self.entries.get(tuple(sorted(indices)), Fraction(0))
 
 
 def _pattern_fault(rows: np.ndarray, n: int) -> tuple[int, str] | None:
@@ -201,8 +194,13 @@ class LayeredTensor:
         return self.rows[self._lex]
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based COO indices and float values, in edge order."""
-        return self.rows - 1, np.full(self.nnz, float(self.value))
+        """0-based COO indices and unit weights, in edge order.
+
+        A weight is the entry times (order-1)!, which is exactly 1: the
+        float 1/(order-1)! would underflow to 0.0 from order 179, and
+        (order-1)! overflows a float from order 172.
+        """
+        return self.rows - 1, np.ones(self.nnz)
 
     def to_sparse(self) -> SymSparseTensor:
         """The same tensor as an exact ``SymSparseTensor``."""
@@ -238,20 +236,6 @@ def edge_count_from_handshake(t: LayeredTensor) -> Fraction:
     tensor.
     """
     return t.nnz * math.factorial(t.order) * t.value / t.order
-
-
-def to_dense(t: SymSparseTensor):
-    """Debug materialization as a dense float array (small tensors only)."""
-    if t.dim**t.order > DENSE_LIMIT:
-        raise ValueError(
-            f"dense tensor would hold {t.dim ** t.order} elements "
-            f"(limit {DENSE_LIMIT})"
-        )
-    dense = np.zeros((t.dim,) * t.order)
-    for tup, value in t.entries.items():
-        for perm in set(itertools.permutations(tup)):
-            dense[tuple(i - 1 for i in perm)] = float(value)
-    return dense
 
 
 def layer_adjacency(layer: Hypergraph, k: int) -> SymSparseTensor:
@@ -315,23 +299,17 @@ def polynomial_to_tensor(p: Polynomial, order: int, dim: int) -> SymSparseTensor
     return SymSparseTensor(order, dim, entries)
 
 
-def _require_buildable(h: Hypergraph) -> int:
-    k_max = h.range()  # raises EmptyHypergraph
-    h.require_no_repeats()
-    return k_max
-
-
-def php_polynomials(
-    h: Hypergraph, coeffs: Sequence[Fraction] | None = None
-) -> list[Polynomial]:
+def php_polynomials(h: Hypergraph) -> list[Polynomial]:
     """All intermediate homogenisation polynomials R_1 .. R_{k_max}.
 
     R_1 = c_1 * P_1; then R_{k+1} = R_k * y^k + c_{k+1} * P_{k+1}, where
-    P_k is the layer-k adjacency polynomial and y^k is the variable of
-    special vertex k (slot n + k).  The multiplication by y^k happens
-    even when layer k+1 is empty, so each R_k is homogeneous of degree k.
+    c_j = k_max / j are the fixed dilatation coefficients, P_k is the
+    layer-k adjacency polynomial and y^k is the variable of special
+    vertex k (slot n + k).  The multiplication by y^k happens even when
+    layer k+1 is empty, so each R_k is homogeneous of degree k.  The
+    last, R_{k_max}, is the polynomial of the layered tensor.
     """
-    k_max, cs = _prepare(h, coeffs)
+    k_max, cs = _prepare(h)
     nvars = h.n + k_max - 1
     layers = h.layers()
     ps = [
@@ -344,20 +322,14 @@ def php_polynomials(
     return out
 
 
-def php_build(
-    h: Hypergraph, coeffs: Sequence[Fraction] | None = None
-) -> Polynomial:
-    """Final homogenisation polynomial R_{k_max}."""
-    return php_polynomials(h, coeffs)[-1]
-
-
 def build_e_adjacency(h: Hypergraph) -> LayeredTensor:
     """Layered e-adjacency tensor, built directly edge by edge.
 
     Its ``to_sparse()`` equals the homogenisation route
-    ``polynomial_to_tensor(php_build(h), k_max, n + k_max - 1)`` exactly.
+    ``polynomial_to_tensor(php_polynomials(h)[-1], k_max, n + k_max - 1)``
+    exactly.
     """
-    k_max = _require_buildable(h)
+    k_max, _ = _prepare(h)  # raises EmptyHypergraph, RepeatedHyperedge
     m = len(h.edges)
     sizes = np.fromiter(map(len, h.edges), np.int64, m)
     originals = np.fromiter(

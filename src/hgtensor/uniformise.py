@@ -12,6 +12,10 @@ Special vertex y_level is materialized as index n + level right away, so
 one dense indexing scheme covers the whole pipeline.  All k_max - 1
 special vertices are created even when some layers are empty.
 
+The dilatation coefficients are fixed at c_j = k_max / j
+(``default_coefficients``): that choice makes every entry of the layered
+tensor 1/(k_max-1)!, so the tensor is described by its edges alone.
+
 ``uniformise`` builds the result directly via the per-edge padding
 formula (O(|E| * k_max)); ``uniformise_iterative`` runs the literal
 two-phase fold.  Both produce identical output, edges ordered layer by
@@ -22,18 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from hgtensor.errors import VertexCollision
 from hgtensor.hypergraph import Hypergraph, WeightedHypergraph, uniform_weights
-
-
-@dataclass(frozen=True)
-class SpecialVertex:
-    """Added vertex y_level, stored at index n + level."""
-
-    level: int
-    index: int
 
 
 @dataclass(frozen=True)
@@ -75,21 +70,6 @@ class UniformisedHypergraph:
         """Total vertex count, n + k_max - 1."""
         return self.n_original + self.k_max - 1
 
-    def special_vertices(self) -> tuple[SpecialVertex, ...]:
-        n = self.n_original
-        return tuple(
-            SpecialVertex(level, n + level) for level in range(1, self.k_max)
-        )
-
-    def to_weighted(self) -> WeightedHypergraph:
-        return WeightedHypergraph(Hypergraph(self.dim, self.edges), self.weights)
-
-    def strip_specials(self) -> Hypergraph:
-        """Drop the special vertices, recovering the original edge family."""
-        n = self.n_original
-        stripped = tuple(tuple(v for v in e if v <= n) for e in self.edges)
-        return Hypergraph(n, stripped)
-
 
 def default_coefficients(k_max: int) -> tuple[Fraction, ...]:
     """Dilatation coefficients c_j = k_max / j.
@@ -126,27 +106,16 @@ def merge(ha: WeightedHypergraph, hb: WeightedHypergraph) -> WeightedHypergraph:
     )
 
 
-def _prepare(
-    h: Hypergraph, coeffs: Sequence[Fraction] | None
-) -> tuple[int, tuple[Fraction, ...]]:
+def _prepare(h: Hypergraph) -> tuple[int, tuple[Fraction, ...]]:
+    """k_max and the coefficients, for an edge family free of repeats."""
     k_max = h.range()
     h.require_no_repeats()
-    if coeffs is None:
-        cs = default_coefficients(k_max)
-    else:
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != k_max:
-            raise ValueError(f"need {k_max} coefficients, got {len(cs)}")
-        if any(c <= 0 for c in cs):
-            raise ValueError("coefficients must be positive")
-    return k_max, cs
+    return k_max, default_coefficients(k_max)
 
 
-def uniformise(
-    h: Hypergraph, coeffs: Sequence[Fraction] | None = None
-) -> UniformisedHypergraph:
+def uniformise(h: Hypergraph) -> UniformisedHypergraph:
     """Per-edge padding shortcut: e of size j -> e u {y_j..y_{k_max-1}}, weight c_j."""
-    k_max, cs = _prepare(h, coeffs)
+    k_max, cs = _prepare(h)
     n = h.n
     edges: list[tuple[int, ...]] = []
     weights: list[Fraction] = []
@@ -162,11 +131,9 @@ def uniformise(
     )
 
 
-def uniformise_iterative(
-    h: Hypergraph, coeffs: Sequence[Fraction] | None = None
-) -> UniformisedHypergraph:
+def uniformise_iterative(h: Hypergraph) -> UniformisedHypergraph:
     """Literal inflation/merging fold; agrees with ``uniformise`` exactly."""
-    k_max, cs = _prepare(h, coeffs)
+    k_max, cs = _prepare(h)
     n = h.n
     layers = h.layers()
     current = uniform_weights(layers[0], cs[0])

@@ -156,7 +156,20 @@ def test_spectral_rejects_order_1(tmp_path, capsys):
     src = write(tmp_path, "one.hg", "a\nb\n")
     code, out, err = run(capsys, "spectral", src)
     assert code == 1
-    assert "error=OrderTooSmall" in err
+    assert err == ("error=OrderTooSmall\n"
+                   "detail=the eigensolver needs a tensor of order >= 2\n")
+
+
+@pytest.mark.parametrize("k", [172, 180])
+def test_spectral_edge_past_the_float_factorial_range(tmp_path, capsys, k):
+    # (k-1)! overflows a float from k = 172, and 1/(k-1)! is 0.0 from k = 179
+    wide = " ".join(f"v{i}" for i in range(1, k + 1))
+    src = write(tmp_path, "wide.hg", f"{wide}\na b\n")
+    code, out, err = run(capsys, "spectral", src)
+    assert (code, err) == (0, "")
+    report = fields(out)
+    assert report["bound"] == "1" and report["bound_satisfied"] == "true"
+    assert abs(float(report["lambda"]) - 1.0) <= 1e-8
 
 
 def test_spectral_no_convergence_reports_bracket(tmp_path, capsys):
@@ -337,6 +350,8 @@ def test_readme_example_output_is_pinned(tmp_path, capsys):
         "iterations=79\nresidual=1.777750169296155e-11\n"), "")
     coo = write(tmp_path, "ex.coo", EXAMPLE_COO)
     assert run(capsys, "reconstruct", coo) == (0, "1 2\n1\n2 3 4\n", "")
+    assert run(capsys, "uniformise", src) == (0, (
+        "v1 @y1 @y2 w=3/1\nv1 v2 @y2 w=3/2\nv2 v3 v4 w=1/1\n"), "")
 
 
 # --- uniformise --------------------------------------------------------------
@@ -363,7 +378,9 @@ def test_uniformise_uniform_input(tmp_path, capsys):
 def test_uniformise_empty(tmp_path, capsys):
     src = write(tmp_path, "empty.hg", "\n")
     code, out, err = run(capsys, "uniformise", src)
-    assert code == 1 and "error=EmptyHypergraph" in err
+    assert (code, out) == (1, "")
+    assert err == ("error=EmptyHypergraph\n"
+                   "detail=range is undefined without hyperedges\n")
 
 
 # --- plumbing ----------------------------------------------------------------

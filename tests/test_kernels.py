@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,13 +11,14 @@ import numpy as np
 
 from hgtensor import SymSparseTensor
 from hgtensor.kernels import apply_coords
+from tests.oracles import value_at
 
 
 def semantic_apply(t: SymSparseTensor, x: list[Fraction]) -> list[Fraction]:
     """Brute-force oracle: enumerate all dim**order tuples exactly."""
     out = [Fraction(0)] * t.dim
     for tup in itertools.product(range(1, t.dim + 1), repeat=t.order):
-        v = t.value_at(tup)
+        v = value_at(t, tup)
         if v == 0:
             continue
         prod = Fraction(1)
@@ -43,7 +45,9 @@ def test_kernel_matches_exact_enumeration():
         xq = [Fraction(rng.randint(0, 5), 2) for _ in range(dim)]
         expected = [float(v) for v in semantic_apply(t, xq)]
         indices = np.array(list(t.entries), dtype=np.int64).reshape(-1, order) - 1
-        values = np.array([float(v) for v in t.entries.values()])
+        # the kernel's weight is the entry times (order-1)!
+        scale = math.factorial(order - 1)
+        values = np.array([float(v * scale) for v in t.entries.values()])
         got = apply_coords(indices, values, np.array([float(v) for v in xq]))
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), t
 

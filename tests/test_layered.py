@@ -85,7 +85,7 @@ def test_coo_roundtrip_at_scale():
     assert np.array_equal(back.canonical_rows(), t.canonical_rows())
     assert write_tensor(back) == text
     assert reconstruct(back) == reconstruct(t)
-    assert reconstruct(back).canonical() == h.canonical()
+    assert sorted(reconstruct(back).edges) == sorted(h.edges)
 
 
 def test_array_path_at_scale():
@@ -100,7 +100,7 @@ def test_array_path_at_scale():
     exact = t.to_sparse()
     assert exact.entries == oracle
     assert list(exact.entries) == list(oracle)
-    assert reconstruct(t).canonical() == h.canonical()
+    assert sorted(reconstruct(t).edges) == sorted(h.edges)
 
     report = degrees_from_tensor(t)
     sizes = Counter(len(e) for e in h.edges)

@@ -19,8 +19,7 @@ from tests.gen import corpus
 def test_zero_coefficients_dropped():
     p = Polynomial(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert p.terms == {(0, 1): Fraction(2)}
-    assert not p.is_zero()
-    assert Polynomial.zero(2).is_zero()
+    assert Polynomial(2).terms == {}
 
 
 def test_validation():
@@ -49,7 +48,7 @@ def test_derived_results_pass_the_constructor():
         p.with_nvars(5),
         tensor_to_polynomial(build_e_adjacency(Hypergraph(3, ((1,), (1, 3)))).to_sparse()),
     ]
-    assert derived[1].is_zero() and derived[2].is_zero()
+    assert derived[1].terms == {} and derived[2].terms == {}
     assert all(rebuilt_by_constructor(r) for r in derived)
     for h in corpus():
         assert all(rebuilt_by_constructor(r) for r in php_polynomials(h))
@@ -74,7 +73,7 @@ def test_times_var_shifts_exponent():
 def test_scaled():
     p = Polynomial(1, {(2,): Fraction(3)})
     assert p.scaled(Fraction(1, 3)).terms == {(2,): Fraction(1)}
-    assert p.scaled(0).is_zero()
+    assert p.scaled(0).terms == {}
 
 
 def test_with_nvars_pads():
@@ -83,15 +82,3 @@ def test_with_nvars_pads():
     with pytest.raises(ValueError):
         p.with_nvars(1)
 
-
-def test_homogeneity():
-    p = Polynomial(2, {(1, 1): Fraction(1), (2, 0): Fraction(1)})
-    assert p.is_homogeneous(2)
-    assert not (p + Polynomial(2, {(1, 0): Fraction(1)})).is_homogeneous(2)
-    assert Polynomial.zero(2).is_homogeneous(7)
-
-
-def test_coefficient_lookup():
-    p = Polynomial(2, {(1, 1): Fraction(4)})
-    assert p.coefficient((1, 1)) == 4
-    assert p.coefficient((0, 2)) == 0

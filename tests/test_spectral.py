@@ -20,7 +20,6 @@ from hgtensor import (
     largest_h_eigenvalue,
     reconstruct,
     spectral_bound,
-    to_dense,
 )
 from hgtensor.errors import (
     DimensionMismatch,
@@ -31,6 +30,7 @@ from hgtensor.errors import (
 )
 from hgtensor.fileio import parse_tensor, write_tensor
 from tests.gen import corpus, graph_corpus
+from tests.oracles import to_dense
 
 EXAMPLE = Hypergraph(4, ((1,), (1, 2), (2, 3, 4)))
 C3 = Hypergraph(3, ((1, 2), (2, 3), (1, 3)))
@@ -56,7 +56,7 @@ def test_degrees_worked_example():
     report = degrees_from_tensor(build_e_adjacency(EXAMPLE))
     assert report.degrees == (2, 2, 1, 1, 1, 2)
     assert report.layer_counts == (1, 1, 1)
-    assert report.n_edges == 3
+    assert sum(report.layer_counts) == 3
     assert report == direct_report(EXAMPLE)
 
 
@@ -153,7 +153,7 @@ def test_degrees_agree_with_reconstruction(case):
     layered = LayeredTensor(n, k, np.array(rows))
     value = Fraction(1, math.factorial(k - 1))
     assert layered.to_sparse().entries == dict.fromkeys(rows, value)
-    assert reconstruct(layered).canonical() == h.canonical()
+    assert sorted(reconstruct(layered).edges) == sorted(h.edges)
     report = degrees_from_tensor(layered)
     assert report == direct_report(h, k)
     assert np.allclose(apply(layered, np.ones(layered.dim)), report.degrees, atol=1e-12)
@@ -252,10 +252,6 @@ def test_eigen_rejects_order_1():
         {"max_iter": -1},
         {"tol": -1.0},
         {"tol": float("nan")},
-        {"residual_tol": -1e-12},
-        {"residual_tol": float("nan")},
-        {"shift": 0.0},
-        {"shift": float("nan")},
     ],
 )
 def test_eigen_rejects_bad_arguments(kwargs):
@@ -266,7 +262,7 @@ def test_eigen_rejects_bad_arguments(kwargs):
 def test_eigen_no_convergence_carries_bracket():
     t = build_e_adjacency(EXAMPLE)
     with pytest.raises(NoConvergence) as exc:
-        largest_h_eigenvalue(t, tol=0.0, max_iter=2, residual_tol=0.0)
+        largest_h_eigenvalue(t, tol=0.0, max_iter=2)
     assert exc.value.iterations == 2
     assert exc.value.lambda_min <= exc.value.lambda_max
 
@@ -288,7 +284,7 @@ def test_eigen_regular_uniform_equality():
         Hypergraph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))),  # C5
         Hypergraph(4, ((1, 2), (2, 3), (3, 4), (1, 4))),  # C4, bipartite
         # 5-uniform 5-regular cycle {i, ..., i+4} mod n at dim 10^4, where a
-        # 1-norm-normalised iterate meets the absolute residual_tol at once
+        # 1-norm-normalised iterate meets the absolute RESIDUAL_TOL at once
         Hypergraph(
             10_000,
             tuple(tuple(sorted((i + j) % 10_000 + 1 for j in range(5)))

@@ -16,7 +16,7 @@ from hgtensor import (
     uniformise_iterative,
     vertex_augment,
 )
-from hgtensor.errors import RepeatedHyperedge, VertexCollision
+from hgtensor.errors import EmptyHypergraph, RepeatedHyperedge, VertexCollision
 from tests.gen import corpus
 
 EXAMPLE = Hypergraph(4, ((1,), (1, 2), (2, 3, 4)))
@@ -68,7 +68,7 @@ def test_default_coefficients():
 
 def test_uniformise_worked_example():
     coeffs = (Fraction(3), Fraction(3, 2), Fraction(1))
-    uni = uniformise(EXAMPLE, coeffs)
+    uni = uniformise(EXAMPLE)
     assert uni.k_max == 3 and uni.dim == 6
     assert list(zip(uni.edges, uni.weights)) == [
         ((1, 5, 6), Fraction(3)),
@@ -93,12 +93,7 @@ def test_uniformise_single_pair():
     assert uni.edges == ((1, 2),)
     assert uni.weights == (Fraction(1),)
     assert uni.dim == 3
-    assert uni.to_weighted().base.degree(3) == 0  # y_1 is isolated
-
-
-def test_special_vertices_listed():
-    uni = uniformise(EXAMPLE)
-    assert [(s.level, s.index) for s in uni.special_vertices()] == [(1, 5), (2, 6)]
+    assert all(3 not in e for e in uni.edges)  # y_1 is isolated
 
 
 def test_iterative_agrees_with_direct_on_corpus():
@@ -113,18 +108,16 @@ def test_uniformise_properties_on_corpus():
         assert all(len(e) == k_max for e in uni.edges)
         assert len(uni.edges) == len(h.edges)
         # stripping the special vertices recovers the edge family exactly
-        assert sorted(uni.strip_specials().edges) == sorted(h.edges)
+        stripped = [tuple(v for v in e if v <= h.n) for e in uni.edges]
+        assert sorted(stripped) == sorted(h.edges)
         # deg(y_i) counts the edges of cardinality <= i
-        base = uni.to_weighted().base
         for level in range(1, k_max):
             expected = sum(1 for e in h.edges if len(e) <= level)
-            assert base.degree(h.n + level) == expected
+            assert sum(h.n + level in e for e in uni.edges) == expected
 
 
 def test_uniformise_rejects_bad_input():
     with pytest.raises(RepeatedHyperedge):
         uniformise(Hypergraph(3, ((1, 2), (2, 1))))
-    with pytest.raises(ValueError):
-        uniformise(EXAMPLE, (Fraction(1),))  # wrong number of coefficients
-    with pytest.raises(ValueError):
-        uniformise(EXAMPLE, (Fraction(1), Fraction(-1), Fraction(1)))
+    with pytest.raises(EmptyHypergraph):
+        uniformise(Hypergraph(3))
