@@ -69,10 +69,10 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
 
 
 def write_hypergraph(h: Hypergraph, labels: tuple[str, ...] | None = None) -> str:
-    if labels is None:
-        labels = tuple(str(i) for i in range(1, h.n + 1))
-    lines = [" ".join(labels[v - 1] for v in e) for e in h.edges]
-    return "".join(line + "\n" for line in lines)
+    """One line per edge; vertex v is written labels[v - 1], or v itself
+    without labels (no table over the n vertices: n may be near int64)."""
+    name = str if labels is None else lambda v: labels[v - 1]
+    return "".join(" ".join(name(v) for v in e) + "\n" for e in h.edges)
 
 
 def format_rational(value: Fraction) -> str:

@@ -277,6 +277,18 @@ def test_reconstruct_graph(tmp_path, capsys):
     assert out.splitlines() == ["1 2", "2 3"]
 
 
+def test_reconstruct_cost_does_not_grow_with_n(tmp_path, capsys):
+    # reconstruct is O(nnz * k): a header with n near INT64_MAX and one row
+    # prints at once, with no table over the n vertices
+    n = 2**63 - 2
+    coo = write(
+        tmp_path,
+        "huge_n.coo",
+        f"order=2 dim={n + 1} n={n} format=canonical-coo\n1 2 1/1\n",
+    )
+    assert run(capsys, "reconstruct", coo) == (0, "1 2\n", "")
+
+
 def test_reconstruct_inconsistent_header(tmp_path, capsys):
     # n is fixed by dim - order + 1, so a header that disagrees is a parse
     # error at its line; there is no option to override it

@@ -53,6 +53,8 @@ def test_write_hypergraph_roundtrip():
     text = write_hypergraph(parsed.hypergraph, parsed.labels)
     assert text == "v1\nv1 v2\nv2 v3 v4\n"
     assert parse_hypergraph(text).hypergraph == parsed.hypergraph
+    # without labels each vertex is written as its index, at any n
+    assert write_hypergraph(Hypergraph(2**63 - 2, ((1, 2),))) == "1 2\n"
 
 
 def test_format_rational():

@@ -107,6 +107,8 @@ def test_uniformise_properties_on_corpus():
         k_max = h.range()
         assert all(len(e) == k_max for e in uni.edges)
         assert len(uni.edges) == len(h.edges)
+        # every edge is a set inside 1..dim
+        assert Hypergraph(uni.dim, uni.edges).edges == uni.edges
         # stripping the special vertices recovers the edge family exactly
         stripped = [tuple(v for v in e if v <= h.n) for e in uni.edges]
         assert sorted(stripped) == sorted(h.edges)
