@@ -23,13 +23,9 @@ from hgtensor.tensor import (
     SymSparseTensor,
     build_e_adjacency,
     edge_count_from_handshake,
-    layer_adjacency,
-    permutation_count,
     php_polynomials,
     polynomial_to_tensor,
     reconstruct,
-    semantic_total,
-    tensor_to_polynomial,
 )
 from hgtensor.uniformise import (
     UniformisedHypergraph,
@@ -58,15 +54,11 @@ __all__ = [
     "edge_count_from_handshake",
     "errors",
     "largest_h_eigenvalue",
-    "layer_adjacency",
     "merge",
-    "permutation_count",
     "php_polynomials",
     "polynomial_to_tensor",
     "reconstruct",
-    "semantic_total",
     "spectral_bound",
-    "tensor_to_polynomial",
     "uniform_weights",
     "uniformise",
     "uniformise_iterative",

@@ -2,13 +2,15 @@
 
 Subcommands: build, stats, spectral, reconstruct, uniformise.  Reports
 are key=value lines on stdout; diagnostics go to stderr.  The exit
-status is 0 iff no error line was emitted.  An input path of ``-``
-reads standard input.
+status is 0 iff no error line was emitted, or 141 with no error line if
+the reader closes stdout early.  An input path of ``-`` reads standard
+input.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -200,6 +202,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader went away: exit quietly with 128 + SIGPIPE, stdout on
+        # devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except NoConvergence as exc:
         print(f"lambda_min={exc.lambda_min:.17g}", file=sys.stderr)
         print(f"lambda_max={exc.lambda_max:.17g}", file=sys.stderr)

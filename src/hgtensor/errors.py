@@ -33,10 +33,6 @@ class RepeatedHyperedge(HgTensorError):
         )
 
 
-class NotUniform(HgTensorError):
-    """Raised when a layer is expected to be k-uniform but is not."""
-
-
 class NotHomogeneous(HgTensorError):
     """Raised when a polynomial is expected to be homogeneous but is not."""
 

@@ -62,7 +62,7 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
             if tok not in labels:
                 labels[tok] = len(labels) + 1
             edge.append(labels[tok])
-        edges.append(tuple(sorted(edge)))
+        edges.append(tuple(edge))  # the Hypergraph constructor sorts it
         edge_lines.append(lineno)
     h = Hypergraph(len(labels), tuple(edges))
     return ParsedHypergraph(h, tuple(labels), tuple(edge_lines))

@@ -5,9 +5,10 @@ Terms are stored as exponent vectors over a fixed variable universe
 recursion needs is implemented.
 
 Exponent vectors are checked once, when a polynomial is built from
-outside input by the public constructor.  The arithmetic below derives
-its results from polynomials that already passed that check, so they
-are built through ``_derived``, which only drops zero coefficients.
+outside input by the public constructor.  The arithmetic below, and
+``tensor.php_polynomials`` on a checked hypergraph, derive terms that
+are valid by construction, so they build through ``_derived``, which
+only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -71,10 +72,3 @@ class Polynomial:
             e[:i] + (e[i] + 1,) + e[i + 1:]: v for e, v in self.terms.items()
         }
         return Polynomial._derived(self.nvars, terms)
-
-    def with_nvars(self, nvars: int) -> Polynomial:
-        """Embed into a larger variable universe (pad exponents with zeros)."""
-        if nvars < self.nvars:
-            raise ValueError("cannot shrink the variable universe")
-        pad = (0,) * (nvars - self.nvars)
-        return Polynomial._derived(nvars, {e + pad: v for e, v in self.terms.items()})

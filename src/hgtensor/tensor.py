@@ -15,15 +15,16 @@ tuples, checked once with array operations when it is made, and answers
 degrees, the handshake total, reconstruction and the solver's COO arrays
 from it; it is the only tensor the solver reads.  ``SymSparseTensor`` is
 the general exact container (a dict of ``Fraction`` values): the
-homogenisation route and the exact oracles use it, and
-``LayeredTensor.to_sparse`` is the one conversion between the two.
+homogenisation route ends in one, and ``LayeredTensor.to_sparse`` is the
+one conversion between the two.
 
 Two independent routes build the tensor: the direct padding formula
-above, and the polynomial homogenisation route (per-layer adjacency
-polynomials P_k, folded via R_{k+1} = R_k * y^k + c_{k+1} * P_{k+1}
-with dilatation coefficients c_j = k_max / j).  They agree entry for
-entry, and the construction is bijective: the hypergraph is recovered
-from the tensor with no ambiguity.
+above, and the polynomial homogenisation route: the layer polynomials
+P_k = k * sum_{|e| = k} prod_{v in e} z_v, built straight from the
+edges, folded via R_{k+1} = R_k * y^k + c_{k+1} * P_{k+1} with
+dilatation coefficients c_j = k_max / j, and R_{k_max} read as a tensor.
+They agree entry for entry, and the construction is bijective: the
+hypergraph is recovered from the tensor with no ambiguity.
 
 All values here are exact rationals; floating point enters only through
 ``LayeredTensor.coords``, the solver's COO arrays, which carry each
@@ -42,7 +43,6 @@ import numpy as np
 from hgtensor.errors import (
     MalformedTensor,
     NotHomogeneous,
-    NotUniform,
     UnexpectedRepeatedIndex,
 )
 from hgtensor.hypergraph import Hypergraph, _require_int
@@ -208,25 +208,6 @@ class LayeredTensor:
         return SymSparseTensor(self.order, self.dim, entries)
 
 
-def permutation_count(tup: tuple[int, ...]) -> int:
-    """Distinct orderings of the index multiset: k! / prod(mult_i!)."""
-    count = math.factorial(len(tup))
-    run = 1
-    for a, b in zip(tup, tup[1:]):
-        run = run + 1 if a == b else 1
-        if run > 1:
-            count //= run
-    return count
-
-
-def semantic_total(t: SymSparseTensor) -> Fraction:
-    """Sum of the tensor over all dim**order index tuples, computed sparsely."""
-    return sum(
-        (permutation_count(tup) * v for tup, v in t.entries.items()),
-        Fraction(0),
-    )
-
-
 def edge_count_from_handshake(t: LayeredTensor) -> Fraction:
     """Generalized handshake: total entry sum divided by the order.
 
@@ -238,51 +219,17 @@ def edge_count_from_handshake(t: LayeredTensor) -> Fraction:
     return t.nnz * math.factorial(t.order) * t.value / t.order
 
 
-def layer_adjacency(layer: Hypergraph, k: int) -> SymSparseTensor:
-    """Degree-normalized adjacency tensor of a k-uniform layer.
-
-    Every hyperedge {i_1 < ... < i_k} stores 1/(k-1)! at its canonical
-    tuple, so that summing over all permutations of one edge yields k
-    and row sums yield vertex degrees.
-    """
-    if k < 1:
-        raise ValueError("order must be positive")
-    value = Fraction(1, math.factorial(k - 1))
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for e in layer.edges:
-        if len(e) != k:
-            raise NotUniform(f"edge {e} has cardinality {len(e)}, expected {k}")
-        entries[e] = value
-    return SymSparseTensor(k, layer.n, entries)
-
-
-def tensor_to_polynomial(t: SymSparseTensor) -> Polynomial:
-    """Homogeneous polynomial with one variable per tensor slot.
-
-    The coefficient of a monomial is the tensor summed over every index
-    tuple with that variable multiset; for a canonical tuple of distinct
-    indices with value a this is k! * a.
-    """
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for tup, value in t.entries.items():
-        exps = [0] * t.dim
-        for i in tup:
-            exps[i - 1] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + permutation_count(tup) * value
-    # A stored index lies in 1..dim, so every exponent vector is valid.
-    return Polynomial._derived(t.dim, terms)
-
-
 def polynomial_to_tensor(p: Polynomial, order: int, dim: int) -> SymSparseTensor:
-    """Inverse of ``tensor_to_polynomial`` for square-free monomials.
+    """The symmetric tensor of a homogeneous polynomial of square-free monomials.
 
     Each degree-``order`` monomial spreads its coefficient uniformly over
     the order! permutations of its variables, i.e. the canonical tuple
     stores coefficient / order!.  Monomials with a repeated variable are
     rejected: the layered construction never produces them, so one is an
-    upstream bug.
+    upstream bug.  ``dim`` must be ``p.nvars``, one slot per variable.
     """
+    if dim != p.nvars:
+        raise ValueError(f"dimension {dim} for a polynomial in {p.nvars} variables")
     entries: dict[tuple[int, ...], Fraction] = {}
     scale = math.factorial(order)
     for exps, coeff in p.terms.items():
@@ -303,19 +250,22 @@ def php_polynomials(h: Hypergraph) -> list[Polynomial]:
     """All intermediate homogenisation polynomials R_1 .. R_{k_max}.
 
     R_1 = c_1 * P_1; then R_{k+1} = R_k * y^k + c_{k+1} * P_{k+1}, where
-    c_j = k_max / j are the fixed dilatation coefficients, P_k is the
-    layer-k adjacency polynomial and y^k is the variable of special
-    vertex k (slot n + k).  The multiplication by y^k happens even when
-    layer k+1 is empty, so each R_k is homogeneous of degree k.  The
-    last, R_{k_max}, is the polynomial of the layered tensor.
+    c_j = k_max / j are the fixed dilatation coefficients, y^k is the
+    variable of special vertex k (slot n + k), and the layer-k adjacency
+    polynomial P_k = k * sum_{|e| = k} prod_{v in e} z_v is built straight
+    from the edges.  The multiplication by y^k happens even when layer
+    k+1 is empty, so each R_k is homogeneous of degree k.  The last,
+    R_{k_max}, is the polynomial of the layered tensor.
     """
     k_max, cs = _prepare(h)
     nvars = h.n + k_max - 1
-    layers = h.layers()
-    ps = [
-        tensor_to_polynomial(layer_adjacency(layers[k - 1], k)).with_nvars(nvars)
-        for k in range(1, k_max + 1)
-    ]
+    layers: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(k_max)]
+    for e in h.edges:
+        exps = [0] * nvars
+        for v in e:
+            exps[v - 1] = 1
+        layers[len(e) - 1][tuple(exps)] = Fraction(len(e))
+    ps = [Polynomial._derived(nvars, terms) for terms in layers]
     out = [ps[0].scaled(cs[0])]
     for k in range(1, k_max):
         out.append(out[-1].times_var(h.n + k) + ps[k].scaled(cs[k]))

@@ -120,12 +120,11 @@ def uniformise(h: Hypergraph) -> UniformisedHypergraph:
     edges: list[tuple[int, ...]] = []
     weights: list[Fraction] = []
     origins: list[int] = []
-    for layer in h.layers():
-        for e in layer.edges:
-            j = len(e)
-            edges.append(e + tuple(range(n + j, n + k_max)))
-            weights.append(cs[j - 1])
-            origins.append(j)
+    for e in sorted(h.edges, key=len):  # stable: layer by layer, in edge order
+        j = len(e)
+        edges.append(e + tuple(range(n + j, n + k_max)))
+        weights.append(cs[j - 1])
+        origins.append(j)
     return UniformisedHypergraph(
         n, k_max, tuple(edges), tuple(weights), tuple(origins)
     )

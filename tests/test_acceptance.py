@@ -24,14 +24,13 @@ from hgtensor import (
     php_polynomials,
     polynomial_to_tensor,
     reconstruct,
-    semantic_total,
     spectral_bound,
 )
 from hgtensor.cli import main
 from hgtensor.errors import MalformedTensor, ParseError
 from hgtensor.fileio import format_rational, parse_tensor, write_tensor
 from tests.gen import corpus, graph_corpus
-from tests.oracles import to_dense
+from tests.oracles import semantic_total, to_dense
 
 CORPUS = corpus(count=200)
 EXAMPLE = "v1\nv1 v2\nv2 v3 v4\n"

@@ -420,3 +420,21 @@ def test_console_entry_point_help():
     assert proc.returncode == 0
     for name in ("build", "stats", "spectral", "reconstruct", "uniformise"):
         assert name in proc.stdout
+
+
+def test_closed_output_pipe_ends_quietly(tmp_path):
+    # 10^4 pair edges give about 220 KB of degree lines, more than a pipe
+    # holds, so the writer still has output when the reader goes away.
+    pairs = "".join(f"v{2 * i - 1} v{2 * i}\n" for i in range(1, 10_001))
+    src = write(tmp_path, "pairs.hg", pairs)
+    with subprocess.Popen(
+        [sys.executable, "-m", "hgtensor", "stats", src],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+    ) as proc:
+        assert proc.stdout.readline() == b"n=20000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141  # 128 + SIGPIPE, as `head` expects
+    assert err == b""  # no error= lines, no "Exception ignored" at exit

@@ -11,9 +11,9 @@ from hgtensor import (
     Polynomial,
     build_e_adjacency,
     php_polynomials,
-    tensor_to_polynomial,
 )
 from tests.gen import corpus
+from tests.oracles import tensor_to_polynomial
 
 
 def test_zero_coefficients_dropped():
@@ -45,7 +45,6 @@ def test_derived_results_pass_the_constructor():
         p.scaled(0),
         p.scaled(Fraction(3, 4)),
         p.times_var(2),
-        p.with_nvars(5),
         tensor_to_polynomial(build_e_adjacency(Hypergraph(3, ((1,), (1, 3)))).to_sparse()),
     ]
     assert derived[1].terms == {} and derived[2].terms == {}
@@ -74,11 +73,3 @@ def test_scaled():
     p = Polynomial(1, {(2,): Fraction(3)})
     assert p.scaled(Fraction(1, 3)).terms == {(2,): Fraction(1)}
     assert p.scaled(0).terms == {}
-
-
-def test_with_nvars_pads():
-    p = Polynomial(2, {(1, 1): Fraction(1)})
-    assert p.with_nvars(4).terms == {(1, 1, 0, 0): Fraction(1)}
-    with pytest.raises(ValueError):
-        p.with_nvars(1)
-

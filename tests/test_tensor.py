@@ -18,37 +18,47 @@ from hgtensor import (
     build_e_adjacency,
     default_coefficients,
     edge_count_from_handshake,
-    layer_adjacency,
-    permutation_count,
     php_polynomials,
     polynomial_to_tensor,
     reconstruct,
-    semantic_total,
-    tensor_to_polynomial,
 )
 from hgtensor.errors import (
     EmptyHypergraph,
     MalformedTensor,
     NotHomogeneous,
-    NotUniform,
     ParseError,
     RepeatedHyperedge,
     UnexpectedRepeatedIndex,
 )
 from hgtensor.fileio import parse_tensor
 from tests.gen import corpus
-from tests.oracles import to_dense, value_at
+from tests.oracles import (
+    permutation_count,
+    semantic_total,
+    tensor_to_polynomial,
+    to_dense,
+    value_at,
+)
 
 EXAMPLE = Hypergraph(4, ((1,), (1, 2), (2, 3, 4)))
 HALF = Fraction(1, 2)
 
 
-def sympy_php(h: Hypergraph, coeffs) -> dict[tuple[int, ...], Fraction]:
-    """Independent symbolic computation of the homogenisation recursion."""
+def sympy_php(h: Hypergraph, coeffs) -> list[dict[tuple[int, ...], Fraction]]:
+    """Independent symbolic computation of the homogenisation recursion:
+    the terms of every expanded intermediate R_1 .. R_{k_max}."""
     k_max = h.range()
     zs = sympy.symbols(f"z1:{h.n + 1}")
     ys = sympy.symbols(f"y1:{k_max}") if k_max > 1 else ()
     layers = h.layers()
+
+    def terms(expr):
+        poly = sympy.Poly(expr, *(zs + ys))
+        return {
+            tuple(monom): Fraction(int(c.p), int(c.q))
+            for monom, c in poly.terms()
+            if c != 0
+        }
 
     def layer_poly(k):
         total = sympy.Integer(0)
@@ -60,14 +70,11 @@ def sympy_php(h: Hypergraph, coeffs) -> dict[tuple[int, ...], Fraction]:
         return total
 
     expr = sympy.Rational(coeffs[0]) * layer_poly(1)
+    out = [terms(expr)]
     for k in range(1, k_max):
         expr = sympy.expand(expr * ys[k - 1] + sympy.Rational(coeffs[k]) * layer_poly(k + 1))
-    poly = sympy.Poly(expr, *(zs + ys))
-    return {
-        tuple(monom): Fraction(int(c.p), int(c.q))
-        for monom, c in poly.terms()
-        if c != 0
-    }
+        out.append(terms(expr))
+    return out
 
 
 # --- SymSparseTensor ---------------------------------------------------------
@@ -101,22 +108,6 @@ def test_permutation_count():
     assert permutation_count((1, 1, 2)) == 3
     assert permutation_count((2, 2, 2)) == 1
     assert permutation_count((1,)) == 1
-
-
-# --- layer adjacency ---------------------------------------------------------
-
-
-def test_layer_adjacency_examples():
-    t = layer_adjacency(Hypergraph(4, ((2, 3, 4),)), 3)
-    assert t.entries == {(2, 3, 4): HALF}
-
-    t = layer_adjacency(Hypergraph(1, ((1,),)), 1)
-    assert t.entries == {(1,): Fraction(1)}
-
-    assert layer_adjacency(Hypergraph(4, ()), 2).entries == {}
-
-    with pytest.raises(NotUniform):
-        layer_adjacency(Hypergraph(4, ((1, 2),)), 3)
 
 
 # --- polynomial conversions --------------------------------------------------
@@ -156,6 +147,10 @@ def test_polynomial_to_tensor_errors():
         polynomial_to_tensor(Polynomial(3, {(1, 0, 0): Fraction(1)}), 2, 3)
     with pytest.raises(UnexpectedRepeatedIndex):
         polynomial_to_tensor(Polynomial(3, {(2, 0, 0): Fraction(1)}), 2, 3)
+    p = Polynomial(3, {(1, 1, 0): Fraction(2)})
+    for dim in (2, 5):  # one slot per variable: 3
+        with pytest.raises(ValueError, match=f"dimension {dim} .* 3 variables"):
+            polynomial_to_tensor(p, 2, dim)
 
 
 def test_conversions_invert_each_other():
@@ -176,7 +171,7 @@ def test_php_worked_example():
         (0, 1, 1, 1, 0, 0): Fraction(3),  # z2*z3*z4
     }
     assert r3.terms == expected
-    assert r3.terms == sympy_php(EXAMPLE, coeffs)
+    assert r3.terms == sympy_php(EXAMPLE, coeffs)[-1]
 
 
 def test_php_single_pair():
@@ -184,7 +179,7 @@ def test_php_single_pair():
     r2 = php_polynomials(h)[-1]  # c = (2, 1)
     assert r2.nvars == 3  # y1 exists even though unused
     assert r2.terms == {(1, 1, 0): Fraction(2)}
-    assert r2.terms == sympy_php(h, default_coefficients(2))
+    assert r2.terms == sympy_php(h, default_coefficients(2))[-1]
 
 
 def test_php_base_case():
@@ -202,9 +197,15 @@ def test_php_multiplies_even_when_layer_empty():
 
 
 def test_php_matches_sympy_on_corpus():
+    # Every intermediate R_k, not only R_{k_max}: the fold's steps meet the
+    # layer polynomials at each k.
     for h in corpus(count=25, seed=13):
         coeffs = default_coefficients(h.range())
-        assert php_polynomials(h)[-1].terms == sympy_php(h, coeffs)
+        rs = php_polynomials(h)
+        expected = sympy_php(h, coeffs)
+        assert len(rs) == len(expected) == h.range()
+        for k, (r, want) in enumerate(zip(rs, expected), start=1):
+            assert r.terms == want, f"R_{k} differs"
 
 
 def test_php_intermediates_homogeneous():
