@@ -8,7 +8,7 @@ bound with a nonnegative-tensor power iteration.
 """
 
 from hgtensor import errors
-from hgtensor.hypergraph import Hypergraph, WeightedHypergraph, uniform_weights
+from hgtensor.hypergraph import Hypergraph
 from hgtensor.polynomial import Polynomial
 from hgtensor.spectral import (
     DegreeReport,
@@ -30,10 +30,8 @@ from hgtensor.tensor import (
 from hgtensor.uniformise import (
     UniformisedHypergraph,
     default_coefficients,
-    merge,
     uniformise,
     uniformise_iterative,
-    vertex_augment,
 )
 
 __version__ = "0.1.0"
@@ -46,7 +44,6 @@ __all__ = [
     "Polynomial",
     "SymSparseTensor",
     "UniformisedHypergraph",
-    "WeightedHypergraph",
     "apply",
     "build_e_adjacency",
     "default_coefficients",
@@ -54,13 +51,10 @@ __all__ = [
     "edge_count_from_handshake",
     "errors",
     "largest_h_eigenvalue",
-    "merge",
     "php_polynomials",
     "polynomial_to_tensor",
     "reconstruct",
     "spectral_bound",
-    "uniform_weights",
     "uniformise",
     "uniformise_iterative",
-    "vertex_augment",
 ]

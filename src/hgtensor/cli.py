@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from hgtensor import fileio
-from hgtensor.errors import (
-    HgTensorError,
-    NoConvergence,
-    ParseError,
-    RepeatedHyperedge,
-)
+from hgtensor.errors import HgTensorError, NoConvergence, ParseError
 from hgtensor.spectral import (
     degrees_from_tensor,
     largest_h_eigenvalue,
@@ -46,7 +41,7 @@ def _read(path: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The bytes before the bad one decode; "_" stands in for its line.
-        line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        line = len(fileio.split_lines(data[: exc.start].decode("utf-8") + "_"))
         raise ParseError(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
@@ -67,21 +62,8 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
-def _load_hypergraph(path: str) -> fileio.ParsedHypergraph:
-    parsed = fileio.parse_hypergraph(_read(path))
-    pair = parsed.hypergraph.find_repeated_edge()
-    if pair is not None:
-        raise RepeatedHyperedge(
-            parsed.edge_lines[pair[0] - 1],
-            parsed.edge_lines[pair[1] - 1],
-            f"lines {parsed.edge_lines[pair[0] - 1]} and "
-            f"{parsed.edge_lines[pair[1] - 1]} hold the same hyperedge",
-        )
-    return parsed
-
-
 def cmd_build(args: argparse.Namespace) -> int:
-    parsed = _load_hypergraph(args.input)
+    parsed = fileio.parse_hypergraph(_read(args.input))
     h = parsed.hypergraph
     t = build_e_adjacency(h)
     out = fileio.write_tensor(t, parsed.labels)
@@ -102,7 +84,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    parsed = _load_hypergraph(args.input)
+    parsed = fileio.parse_hypergraph(_read(args.input))
     h = parsed.hypergraph
     t = build_e_adjacency(h)
     report = degrees_from_tensor(t)
@@ -135,7 +117,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_spectral(args: argparse.Namespace) -> int:
-    t = build_e_adjacency(_load_hypergraph(args.input).hypergraph)
+    t = build_e_adjacency(fileio.parse_hypergraph(_read(args.input)).hypergraph)
     result = largest_h_eigenvalue(t, tol=args.tol, max_iter=args.max_iter)
     bound = spectral_bound(degrees_from_tensor(t))
     print(f"lambda={result.eigenvalue:.17g}")
@@ -154,7 +136,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_uniformise(args: argparse.Namespace) -> int:
-    parsed = _load_hypergraph(args.input)
+    parsed = fileio.parse_hypergraph(_read(args.input))
     h = parsed.hypergraph
     uni = uniformise(h)
     for edge, weight in zip(uni.edges, uni.weights):

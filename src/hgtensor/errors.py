@@ -15,14 +15,11 @@ class UnknownVertex(HgTensorError):
     """Raised when a vertex index is outside the hypergraph's range."""
 
 
-class VertexCollision(HgTensorError):
-    """Raised when a vertex to be added is already present."""
-
-
 class RepeatedHyperedge(HgTensorError):
-    """Raised when an operation requires pairwise-distinct hyperedges.
+    """Raised when a hypergraph is given two equal hyperedges.
 
-    Carries the 1-based positions of the two colliding edges.
+    Carries the 1-based positions of the two colliding edges (file lines
+    when raised by ``fileio.parse_hypergraph``).
     """
 
     def __init__(self, first: int, second: int, message: str | None = None):

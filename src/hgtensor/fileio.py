@@ -2,7 +2,9 @@
 
 Hypergraph files hold one hyperedge per line as whitespace-separated
 vertex labels (arbitrary strings); ``#`` starts a comment.  Labels are
-interned to dense 1-based ids in first-appearance order.
+interned to dense 1-based ids in first-appearance order.  Two lines
+holding the same hyperedge raise ``RepeatedHyperedge`` naming both lines.
+Lines end at universal newlines only (``split_lines``).
 
 Tensor files start with the header line
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hgtensor.errors import MalformedTensor, ParseError
+from hgtensor.errors import MalformedTensor, ParseError, RepeatedHyperedge
 from hgtensor.hypergraph import Hypergraph
 from hgtensor.tensor import INT64_MAX, LayeredTensor
 
@@ -42,6 +44,13 @@ class ParsedHypergraph:
         return self.labels[vertex - 1]
 
 
+def split_lines(text: str) -> list[str]:
+    r"""Lines broken at universal newlines only.  ``str.splitlines`` also
+    breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029; here those
+    stay inside the line, where ``str.split`` reads them as whitespace."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _strip_comment(line: str) -> str:
     cut = line.find("#")
     return line if cut < 0 else line[:cut]
@@ -51,7 +60,7 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
     labels: dict[str, int] = {}
     edges: list[tuple[int, ...]] = []
     edge_lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         tokens = _strip_comment(raw).split()
         if not tokens:
             continue
@@ -64,7 +73,13 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
             edge.append(labels[tok])
         edges.append(tuple(edge))  # the Hypergraph constructor sorts it
         edge_lines.append(lineno)
-    h = Hypergraph(len(labels), tuple(edges))
+    try:
+        h = Hypergraph(len(labels), tuple(edges))
+    except RepeatedHyperedge as exc:
+        first, second = edge_lines[exc.first - 1], edge_lines[exc.second - 1]
+        raise RepeatedHyperedge(
+            first, second, f"lines {first} and {second} hold the same hyperedge"
+        ) from None
     return ParsedHypergraph(h, tuple(labels), tuple(edge_lines))
 
 
@@ -124,7 +139,7 @@ def parse_tensor(text: str) -> LayeredTensor:
     ``LayeredTensor`` constructor checks the pattern and repeats of all
     rows at once; its fault is raised at the file line of the bad row.
     """
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(split_lines(text), start=1)
     for header_line, raw in lines:
         tokens = _strip_comment(raw).split()
         if tokens:

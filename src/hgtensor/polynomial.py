@@ -7,8 +7,9 @@ recursion needs is implemented.
 Exponent vectors are checked once, when a polynomial is built from
 outside input by the public constructor.  The arithmetic below, and
 ``tensor.php_polynomials`` on a checked hypergraph, derive terms that
-are valid by construction, so they build through ``_derived``, which
-only drops zero coefficients.
+are valid by construction, and their coefficients are nonzero (a sum
+that cancels is dropped where it is formed), so they build through
+``_derived``, which wraps the dict as given.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ class Polynomial:
     def _derived(
         cls, nvars: int, terms: dict[tuple[int, ...], Fraction]
     ) -> Polynomial:
-        """Wrap terms whose exponent vectors are valid by construction."""
+        """Wrap terms that are valid and nonzero by construction."""
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "terms", terms)
         return p
 
     def __add__(self, other: Polynomial) -> Polynomial:
@@ -54,14 +55,17 @@ class Polynomial:
             raise ValueError("cannot add polynomials over different universes")
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            total = terms.get(exps, 0) + coeff
+            if total:
+                terms[exps] = total
+            else:  # only a key of both can cancel
+                del terms[exps]
         return Polynomial._derived(self.nvars, terms)
 
     def scaled(self, c: Fraction | int) -> Polynomial:
         c = Fraction(c)
-        return Polynomial._derived(
-            self.nvars, {e: c * v for e, v in self.terms.items()}
-        )
+        terms = {e: c * v for e, v in self.terms.items()} if c else {}
+        return Polynomial._derived(self.nvars, terms)
 
     def times_var(self, var: int) -> Polynomial:
         """Multiply by the variable with 1-based index ``var``."""

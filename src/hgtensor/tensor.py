@@ -47,7 +47,7 @@ from hgtensor.errors import (
 )
 from hgtensor.hypergraph import Hypergraph, _require_int
 from hgtensor.polynomial import Polynomial
-from hgtensor.uniformise import _prepare
+from hgtensor.uniformise import default_coefficients
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -257,7 +257,8 @@ def php_polynomials(h: Hypergraph) -> list[Polynomial]:
     k+1 is empty, so each R_k is homogeneous of degree k.  The last,
     R_{k_max}, is the polynomial of the layered tensor.
     """
-    k_max, cs = _prepare(h)
+    k_max = h.range()
+    cs = default_coefficients(k_max)
     nvars = h.n + k_max - 1
     layers: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(k_max)]
     for e in h.edges:
@@ -279,7 +280,7 @@ def build_e_adjacency(h: Hypergraph) -> LayeredTensor:
     ``polynomial_to_tensor(php_polynomials(h)[-1], k_max, n + k_max - 1)``
     exactly.
     """
-    k_max, _ = _prepare(h)  # raises EmptyHypergraph, RepeatedHyperedge
+    k_max = h.range()  # raises EmptyHypergraph
     m = len(h.edges)
     sizes = np.fromiter(map(len, h.edges), np.int64, m)
     originals = np.fromiter(

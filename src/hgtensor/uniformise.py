@@ -18,8 +18,9 @@ tensor 1/(k_max-1)!, so the tensor is described by its edges alone.
 
 ``uniformise`` builds the result directly via the per-edge padding
 formula (O(|E| * k_max)); ``uniformise_iterative`` runs the literal
-two-phase fold.  Both produce identical output, edges ordered layer by
-layer.
+two-phase fold on plain edge and weight lists.  The edges of a
+``Hypergraph`` are distinct, so neither checks for repeats.  Both
+produce identical output, edges ordered layer by layer.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hgtensor.errors import VertexCollision
-from hgtensor.hypergraph import Hypergraph, WeightedHypergraph, uniform_weights
+from hgtensor.hypergraph import Hypergraph
 
 
 @dataclass(frozen=True)
@@ -80,43 +80,10 @@ def default_coefficients(k_max: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k_max, j) for j in range(1, k_max + 1))
 
 
-def vertex_augment(hw: WeightedHypergraph, y: int) -> WeightedHypergraph:
-    """Add vertex y to every hyperedge (weights preserved).
-
-    y must not already be a vertex of the hypergraph; the vertex set is
-    extended to include it.
-    """
-    if not isinstance(y, int) or y < 1:
-        raise ValueError(f"vertex index must be a positive integer, got {y!r}")
-    if y <= hw.n:
-        raise VertexCollision(f"vertex {y} is already present (n={hw.n})")
-    edges = tuple(e + (y,) for e in hw.edges)
-    return WeightedHypergraph(Hypergraph(y, edges), hw.weights)
-
-
-def merge(ha: WeightedHypergraph, hb: WeightedHypergraph) -> WeightedHypergraph:
-    """Concatenate two weighted edge families over the union vertex set.
-
-    Families admit repeats, so merging a hypergraph with itself doubles
-    every edge.
-    """
-    n = max(ha.n, hb.n)
-    return WeightedHypergraph(
-        Hypergraph(n, ha.edges + hb.edges), ha.weights + hb.weights
-    )
-
-
-def _prepare(h: Hypergraph) -> tuple[int, tuple[Fraction, ...]]:
-    """k_max and the coefficients, for an edge family free of repeats."""
-    k_max = h.range()
-    h.require_no_repeats()
-    return k_max, default_coefficients(k_max)
-
-
 def uniformise(h: Hypergraph) -> UniformisedHypergraph:
     """Per-edge padding shortcut: e of size j -> e u {y_j..y_{k_max-1}}, weight c_j."""
-    k_max, cs = _prepare(h)
-    n = h.n
+    k_max, n = h.range(), h.n
+    cs = default_coefficients(k_max)
     edges: list[tuple[int, ...]] = []
     weights: list[Fraction] = []
     origins: list[int] = []
@@ -132,14 +99,14 @@ def uniformise(h: Hypergraph) -> UniformisedHypergraph:
 
 def uniformise_iterative(h: Hypergraph) -> UniformisedHypergraph:
     """Literal inflation/merging fold; agrees with ``uniformise`` exactly."""
-    k_max, cs = _prepare(h)
-    n = h.n
+    k_max, n = h.range(), h.n
+    cs = default_coefficients(k_max)
     layers = h.layers()
-    current = uniform_weights(layers[0], cs[0])
+    edges = list(layers[0].edges)
+    weights = [cs[0]] * len(edges)
     for k in range(1, k_max):
-        current = vertex_augment(current, n + k)
-        current = merge(current, uniform_weights(layers[k], cs[k]))
-    origins = tuple(sum(1 for v in e if v <= n) for e in current.edges)
-    return UniformisedHypergraph(
-        n, k_max, current.edges, current.weights, origins
-    )
+        edges = [e + (n + k,) for e in edges]  # inflate with y_k
+        edges += layers[k].edges  # merge in layer k + 1, weighted c_{k+1}
+        weights += [cs[k]] * len(layers[k].edges)
+    origins = tuple(sum(1 for v in e if v <= n) for e in edges)
+    return UniformisedHypergraph(n, k_max, tuple(edges), tuple(weights), origins)

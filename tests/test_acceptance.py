@@ -128,8 +128,7 @@ def three_uniform_three_regular(n: int = 9) -> Hypergraph:
         return False
 
     assert search(0), "no 3-regular 3-uniform design found"
-    h = Hypergraph(n, tuple(chosen))
-    h.require_no_repeats()
+    h = Hypergraph(n, tuple(chosen))  # raises RepeatedHyperedge on a repeat
     assert h.degrees() == (3,) * n  # regular by construction
     return h
 

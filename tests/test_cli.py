@@ -316,6 +316,11 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
     code, out, err = run(capsys, command, str(path))
     assert (code, out) == (1, "")
     assert err == "error=ParseError\ndetail=line 1: byte 0xff is not UTF-8\n"
+    # a line separator before the bad byte does not end a line
+    path.write_bytes("1 2\n\u2028\n".encode() + b"\xff\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error=ParseError\ndetail=line 3: byte 0xff is not UTF-8\n"
 
 
 def test_non_utf8_stdin_names_its_line():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgtensor import Hypergraph, build_e_adjacency, reconstruct
-from hgtensor.errors import ParseError
+from hgtensor.errors import ParseError, RepeatedHyperedge
 from hgtensor.fileio import (
     format_rational,
     parse_hypergraph,
@@ -35,17 +35,83 @@ def test_parse_hypergraph_interns_labels_in_order():
     assert parsed.hypergraph == Hypergraph(4, ((1,), (1, 2), (2, 3, 4)))
     assert parsed.edge_lines == (2, 3, 4)
     assert parsed.label_of(3) == "v3"
+    # Lines end at \n, \r\n and \r only: the other separators that
+    # str.splitlines knows are whitespace, here inside a comment.
+    for sep in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+        parsed = parse_hypergraph(f"a b\r\n# note{sep}c d\re f g\n")
+        assert parsed.hypergraph == Hypergraph(5, ((1, 2), (3, 4, 5)))
+        assert parsed.edge_lines == (1, 3)
 
 
 def test_parse_hypergraph_duplicate_label_in_line():
     with pytest.raises(ParseError) as exc:
         parse_hypergraph("a b\nc c\n")
     assert exc.value.line == 2
+    with pytest.raises(ParseError) as exc:
+        parse_hypergraph("a b\n\u2028\na a\n")
+    assert exc.value.line == 3
 
 
 def test_parse_hypergraph_empty_input():
     parsed = parse_hypergraph("# only comments\n\n")
     assert parsed.hypergraph == Hypergraph(0, ())
+
+
+def first_repeat(edges) -> tuple[int, int] | None:
+    """Oracle: 1-based (i, j) for the first j whose vertex set is that of
+    an earlier edge, and the first such i."""
+    for j in range(len(edges)):
+        for i in range(j):
+            if set(edges[i]) == set(edges[j]):
+                return i + 1, j + 1
+    return None
+
+
+@st.composite
+def families_with_repeats(draw):
+    """Vertex lists of a small family, copies of some edges inserted
+    anywhere, each list in its own shuffled order; and the number of
+    blank or comment lines before each edge in its file."""
+    n = draw(st.integers(1, 5))
+    # An edge is drawn as the bit mask of its vertex set: far cheaper to
+    # draw than a unique list of sets.
+    masks = draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=6, unique=True))
+    family = list(masks)
+    for _ in range(draw(st.integers(0, 3))):
+        family.insert(draw(st.integers(0, len(family))), draw(st.sampled_from(masks)))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [rng.sample([v for v in range(1, n + 1) if m >> (v - 1) & 1], m.bit_count())
+             for m in family]
+    return n, edges, [rng.randint(0, 2) for _ in edges]
+
+
+@settings(max_examples=100, deadline=None)
+@given(families_with_repeats())
+def test_repeats_raise_at_their_positions_and_lines(case):
+    n, edges, gaps = case
+    pair = first_repeat(edges)
+    if pair is None:
+        assert Hypergraph(n, tuple(edges)).edges == tuple(tuple(sorted(e)) for e in edges)
+    else:
+        with pytest.raises(RepeatedHyperedge) as exc:
+            Hypergraph(n, tuple(edges))
+        assert (exc.value.first, exc.value.second) == pair
+
+    # The same family as a file, with blank and comment lines in between.
+    lines, edge_lines = [], []
+    for e, gap in zip(edges, gaps):
+        lines += ["", "# v1 v2"][:gap]
+        lines.append(" ".join(f"v{v}" for v in e))
+        edge_lines.append(len(lines))
+    text = "\n".join(lines) + "\n"
+    if pair is None:
+        assert parse_hypergraph(text).edge_lines == tuple(edge_lines)
+    else:
+        first, second = (edge_lines[i - 1] for i in pair)
+        with pytest.raises(RepeatedHyperedge) as exc:
+            parse_hypergraph(text)
+        assert (exc.value.first, exc.value.second) == (first, second)
+        assert str(exc.value) == f"lines {first} and {second} hold the same hyperedge"
 
 
 def test_write_hypergraph_roundtrip():
@@ -96,6 +162,9 @@ def test_tensor_parse_records_entry_lines():
     with pytest.raises(ParseError) as exc:
         parse_tensor(header + "1 2 1/1\n# a comment\n2 3 1/1\n\n1 2 1/1\n")
     assert exc.value.line == 7 and "duplicate" in str(exc.value)
+    # a line separator inside a comment does not end the comment
+    parsed = parse_tensor(header + "2 3 1/1\n# a comment\u20281 1 1/1\n1 2 1/1\n")
+    assert parsed.rows.tolist() == [[2, 3], [1, 2]]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hgtensor import Hypergraph, WeightedHypergraph
+from hgtensor import Hypergraph
 from hgtensor.errors import EmptyHypergraph, RepeatedHyperedge, UnknownVertex
 from tests.gen import corpus
 
@@ -29,6 +29,8 @@ def test_vertex_out_of_range_rejected():
     for bad in (True, 1.0):
         with pytest.raises(TypeError, match="vertex index"):
             Hypergraph(3, ((bad, 2),))
+        with pytest.raises(TypeError, match="vertex index"):
+            Hypergraph(3, ((1, bad),))
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, "3", None, True, False])
@@ -84,13 +86,11 @@ def test_degrees_vector_matches_per_vertex():
 
 
 def test_repeated_edge_detection():
-    h = Hypergraph(3, ((1, 2), (2, 3), (2, 1)))
-    assert h.find_repeated_edge() == (1, 3)
     with pytest.raises(RepeatedHyperedge) as exc:
-        h.require_no_repeats()
+        Hypergraph(3, ((1, 2), (2, 3), (2, 1)))
     assert exc.value.first == 1 and exc.value.second == 3
 
-    assert Hypergraph(3, ((1, 2), (2, 3))).find_repeated_edge() is None
+    assert Hypergraph(3, ((1, 2), (2, 3))).edges == ((1, 2), (2, 3))
 
 
 def test_isolated_vertices_allowed():
@@ -101,13 +101,3 @@ def test_isolated_vertices_allowed():
 def test_canonical_sorts_edges():
     h = Hypergraph(4, ((2, 3, 4), (1,), (1, 2)))
     assert tuple(sorted(h.edges)) == ((1,), (1, 2), (2, 3, 4))
-
-
-def test_weighted_validation():
-    h = Hypergraph(3, ((1, 2),))
-    with pytest.raises(ValueError):
-        WeightedHypergraph(h, ())
-    with pytest.raises(ValueError):
-        WeightedHypergraph(h, (0,))
-    hw = WeightedHypergraph(h, (3,))
-    assert hw.weights[0] == 3 and hw.n == 3

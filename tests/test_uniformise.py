@@ -1,4 +1,4 @@
-"""Inflation, merging, and the full uniformisation pipeline."""
+"""The uniformisation pipeline: the padding shortcut and the literal fold."""
 
 from __future__ import annotations
 
@@ -8,15 +8,11 @@ import pytest
 
 from hgtensor import (
     Hypergraph,
-    WeightedHypergraph,
     default_coefficients,
-    merge,
-    uniform_weights,
     uniformise,
     uniformise_iterative,
-    vertex_augment,
 )
-from hgtensor.errors import EmptyHypergraph, RepeatedHyperedge, VertexCollision
+from hgtensor.errors import EmptyHypergraph, RepeatedHyperedge
 from tests.gen import corpus
 
 EXAMPLE = Hypergraph(4, ((1,), (1, 2), (2, 3, 4)))
@@ -30,35 +26,6 @@ def padded(h: Hypergraph, coeffs):
         j = len(e)
         out.append((e + tuple(range(h.n + j, h.n + k_max)), coeffs[j - 1]))
     return sorted(out)
-
-
-def test_vertex_augment_examples():
-    hw = WeightedHypergraph(Hypergraph(4, ((1, 2),)), (3,))
-    out = vertex_augment(hw, 5)
-    assert out.edges == ((1, 2, 5),)
-    assert out.weights == (Fraction(3),)
-    assert out.n == 5
-
-    empty = vertex_augment(WeightedHypergraph(Hypergraph(4, ()), ()), 5)
-    assert empty.edges == () and empty.n == 5
-
-    with pytest.raises(VertexCollision):
-        vertex_augment(hw, 3)
-
-
-def test_merge_examples():
-    ha = WeightedHypergraph(Hypergraph(3, ((1, 2),)), (1,))
-    hb = WeightedHypergraph(Hypergraph(3, ((2, 3),)), (5,))
-    merged = merge(ha, hb)
-    assert merged.edges == ((1, 2), (2, 3))
-    assert merged.weights == (Fraction(1), Fraction(5))
-
-    empty = WeightedHypergraph(Hypergraph(3, ()), ())
-    assert merge(ha, empty).edges == ha.edges
-
-    doubled = merge(ha, ha)
-    assert doubled.edges == ((1, 2), (1, 2))
-    assert doubled.weights == (Fraction(1), Fraction(1))
 
 
 def test_default_coefficients():
