@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from hgtensor.errors import MalformedTensor, ParseError, RepeatedHyperedge
-from hgtensor.hypergraph import Hypergraph
+from hgtensor.hypergraph import Hypergraph, _check_distinct
 from hgtensor.tensor import INT64_MAX, LayeredTensor
 
 COO_FORMAT = "canonical-coo"
@@ -51,35 +51,33 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def parse_hypergraph(text: str) -> ParsedHypergraph:
+    """Read a hyperedge list.  No line repeats a label, so each sorted line
+    of interned ids is a valid edge: only repeats across lines are checked."""
     labels: dict[str, int] = {}
+    intern = labels.__getitem__
     edges: list[tuple[int, ...]] = []
     edge_lines: list[int] = []
     for lineno, raw in enumerate(split_lines(text), start=1):
-        tokens = _strip_comment(raw).split()
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
         if len(set(tokens)) != len(tokens):
             raise ParseError(lineno, f"duplicate vertex label in {tokens}")
-        edge = []
-        for tok in tokens:
-            if tok not in labels:
-                labels[tok] = len(labels) + 1
-            edge.append(labels[tok])
-        edges.append(tuple(edge))  # the Hypergraph constructor sorts it
+        try:
+            edges.append(tuple(sorted(map(intern, tokens))))
+        except KeyError:  # the line holds a label seen for the first time
+            ids = [labels.setdefault(tok, len(labels) + 1) for tok in tokens]
+            edges.append(tuple(sorted(ids)))
         edge_lines.append(lineno)
     try:
-        h = Hypergraph(len(labels), tuple(edges))
+        _check_distinct(edges)
     except RepeatedHyperedge as exc:
         first, second = edge_lines[exc.first - 1], edge_lines[exc.second - 1]
         raise RepeatedHyperedge(
             first, second, f"lines {first} and {second} hold the same hyperedge"
         ) from None
+    h = Hypergraph._derived(len(labels), tuple(edges))
     return ParsedHypergraph(h, tuple(labels), tuple(edge_lines))
 
 
@@ -141,7 +139,7 @@ def parse_tensor(text: str) -> LayeredTensor:
     """
     lines = enumerate(split_lines(text), start=1)
     for header_line, raw in lines:
-        tokens = _strip_comment(raw).split()
+        tokens = raw.partition("#")[0].split()
         if tokens:
             break
     else:
@@ -174,7 +172,7 @@ def parse_tensor(text: str) -> LayeredTensor:
     entry_lines: list[int] = []
     expected = None  # the value token, once a line has shown its spelling
     for lineno, raw in lines:
-        tokens = _strip_comment(raw).split()
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
         if len(tokens) != order + 1:

@@ -1,15 +1,20 @@
 """General hypergraph data model: validation, layers, degrees.
 
 A hypergraph is a family of pairwise-distinct hyperedges (non-empty
-vertex sets) over the vertex set {1, ..., n}, kept in input order.  The
-constructor checks every edge and that no two are equal, so every
-operation may rely on both.  All types are immutable after construction.
+vertex sets) over the vertex set {1, ..., n}, kept in input order.  Edges
+are checked where input enters: the public constructor checks every edge
+and that no two are equal, so every operation may rely on both.  Families
+derived from checked input are wrapped by ``_derived``, not checked again.
+All types are immutable after construction.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from hgtensor.errors import EmptyHypergraph, RepeatedHyperedge, UnknownVertex
 
@@ -35,6 +40,16 @@ def _canonical_edge(vertices: Iterable[int], n: int) -> tuple[int, ...]:
     return edge
 
 
+def _check_distinct(edges: Sequence[tuple[int, ...]]) -> None:
+    """Raise RepeatedHyperedge at the first repeat, naming both 1-based positions."""
+    if len(set(edges)) < len(edges):  # only then find where
+        seen: dict[tuple[int, ...], int] = {}
+        for pos, e in enumerate(edges, start=1):
+            first = seen.setdefault(e, pos)
+            if first != pos:
+                raise RepeatedHyperedge(first, pos)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Hypergraph over vertices 1..n with an ordered hyperedge family.
@@ -54,13 +69,16 @@ class Hypergraph:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         canon = tuple(_canonical_edge(e, self.n) for e in self.edges)
-        if len(set(canon)) < len(canon):  # only then find where
-            seen: dict[tuple[int, ...], int] = {}
-            for pos, e in enumerate(canon, start=1):
-                first = seen.setdefault(e, pos)
-                if first != pos:
-                    raise RepeatedHyperedge(first, pos)
+        _check_distinct(canon)
         object.__setattr__(self, "edges", canon)
+
+    @classmethod
+    def _derived(cls, n: int, edges: tuple[tuple[int, ...], ...]) -> Hypergraph:
+        """Wrap edges that are valid by construction: sorted tuples of
+        distinct ints in 1..n, pairwise distinct."""
+        h = object.__new__(cls)
+        h.__dict__.update(n=n, edges=edges)
+        return h
 
     def range(self) -> int:
         """Largest hyperedge cardinality, k_max."""
@@ -79,11 +97,8 @@ class Hypergraph:
         by_size: list[list[tuple[int, ...]]] = [[] for _ in range(k_max)]
         for e in self.edges:
             by_size[len(e) - 1].append(e)
-        return [Hypergraph(self.n, tuple(group)) for group in by_size]
+        return [Hypergraph._derived(self.n, tuple(group)) for group in by_size]
 
     def degrees(self) -> tuple[int, ...]:
-        counts = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                counts[v - 1] += 1
-        return tuple(counts)
+        vertices = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64)
+        return tuple(np.bincount(vertices, minlength=self.n + 1)[1:].tolist())

@@ -11,12 +11,13 @@ contributes the single canonical entry
 i.e. the edge padded with the special vertices for its missing levels.
 Since every entry holds the same value, the tensor *is* its padded edge
 array: ``LayeredTensor`` stores the (|E|, k_max) integer array of those
-tuples, checked once with array operations when it is made, and answers
+tuples, checked once with array operations by its constructor, and answers
 degrees, the handshake total, reconstruction and the solver's COO arrays
 from it; it is the only tensor the solver reads.  ``SymSparseTensor`` is
 the general exact container (a dict of ``Fraction`` values): the
 homogenisation route ends in one, and ``LayeredTensor.to_sparse`` is the
-one conversion between the two.
+one conversion between the two.  What ``build_e_adjacency`` and
+``reconstruct`` derive from checked input is wrapped, not checked again.
 
 Two independent routes build the tensor: the direct padding formula
 above, and the polynomial homogenisation route: the layer polynomials
@@ -33,6 +34,7 @@ entry times (k_max - 1)!, i.e. exactly 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -94,7 +96,7 @@ def _pattern_fault(rows: np.ndarray, n: int) -> tuple[int, str] | None:
     """
     k = rows.shape[1]
     originals = rows <= n
-    step = rows[:, 1:] - rows[:, :-1]
+    left, right = rows[:, :-1], rows[:, 1:]  # compared, not subtracted: no wrap
 
     def not_the_suffix(i: int) -> str:
         tup = rows[i].tolist()
@@ -107,9 +109,9 @@ def _pattern_fault(rows: np.ndarray, n: int) -> tuple[int, str] | None:
 
     checks = (
         (rows[:, 0] < 1, "has an index below 1"),
-        ((step < 0).any(axis=1), "is not non-decreasing"),
+        ((right < left).any(axis=1), "is not non-decreasing"),
         (~originals[:, 0], f"holds no original vertex (n={n})"),
-        (((step == 0) & originals[:, 1:]).any(axis=1), "repeats an original vertex"),
+        (((right == left) & originals[:, 1:]).any(axis=1), "repeats an original vertex"),
         ((~originals & (rows != n + np.arange(k))).any(axis=1), not_the_suffix),
     )
     bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
@@ -130,13 +132,13 @@ class LayeredTensor:
     ``value`` = 1/(order-1)!, so the rows are the whole tensor.  The
     constructor checks the pattern and that no row repeats, and raises
     MalformedTensor carrying the bad row that comes first in canonical
-    order (for a repeat, the later copy).
+    order (for a repeat, the later copy).  ``build_e_adjacency`` builds
+    through ``_derived``, which skips those checks.
     """
 
     n: int
     order: int
     rows: np.ndarray
-    _lex: np.ndarray = field(init=False, repr=False)  # canonical row order
 
     def __post_init__(self):
         _require_int(self.n, "n")
@@ -154,19 +156,20 @@ class LayeredTensor:
             )
         if rows.dtype.kind not in "iu":
             raise MalformedTensor(f"rows of dtype {rows.dtype}, expected integers")
+        if rows.dtype.kind == "u" and rows.size and rows.max() > INT64_MAX:
+            i, j = np.argwhere(rows > INT64_MAX)[0].tolist()  # first in row order
+            raise MalformedTensor(f"entry {tuple(rows[i].tolist())} has index "
+                                  f"{rows[i, j]} above the int64 range", i)
         rows = rows.astype(np.int64)  # a private, read-only copy
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         if not len(rows):  # the checks below take O(order) memory and time
-            object.__setattr__(self, "_lex", np.arange(0))
             return
         fault = _pattern_fault(rows, self.n)
         if fault is not None:
             i, reason = fault
             raise MalformedTensor(f"entry {tuple(rows[i].tolist())} {reason}", i)
-        # A stable sort, so equal rows are neighbours in row order.
-        lex = np.lexsort(rows.T[::-1])
-        object.__setattr__(self, "_lex", lex)
+        lex = self._lex
         ordered = rows[lex]
         same = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))
         if same.size:
@@ -176,6 +179,21 @@ class LayeredTensor:
                 f"the same entry {tuple(rows[first].tolist())}",
                 second,
             )
+
+    @classmethod
+    def _derived(cls, n: int, order: int, rows: np.ndarray) -> LayeredTensor:
+        """Wrap a private int64 array of padded edges that is valid by
+        construction (``dim`` in the int64 range, no row repeated)."""
+        rows.setflags(write=False)
+        t = object.__new__(cls)
+        t.__dict__.update(n=n, order=order, rows=rows)
+        return t
+
+    @functools.cached_property
+    def _lex(self) -> np.ndarray:
+        """The canonical row order: a stable sort, so equal rows are
+        neighbours in row order."""
+        return np.lexsort(self.rows.T[::-1]) if len(self.rows) else np.arange(0)
 
     @property
     def dim(self) -> int:
@@ -281,6 +299,9 @@ def build_e_adjacency(h: Hypergraph) -> LayeredTensor:
     exactly.
     """
     k_max = h.range()  # raises EmptyHypergraph
+    dim = h.n + k_max - 1
+    if dim > INT64_MAX:  # the special indices below would wrap
+        raise MalformedTensor(f"dimension {dim} exceeds the int64 index range")
     m = len(h.edges)
     sizes = np.fromiter(map(len, h.edges), np.int64, m)
     originals = np.fromiter(
@@ -290,7 +311,7 @@ def build_e_adjacency(h: Hypergraph) -> LayeredTensor:
     # vertices over its first |e| slots (row-major, as ``originals`` runs).
     rows = np.tile(h.n + np.arange(k_max), (m, 1))
     rows[np.arange(k_max) < sizes[:, None]] = originals
-    return LayeredTensor(h.n, k_max, rows)
+    return LayeredTensor._derived(h.n, k_max, rows)
 
 
 def reconstruct(t: LayeredTensor) -> Hypergraph:
@@ -299,12 +320,14 @@ def reconstruct(t: LayeredTensor) -> Hypergraph:
     Each row, taken in canonical order, encodes one hyperedge: its
     indices <= n.  A tensor from outside reaches this as a checked
     ``LayeredTensor``: through ``fileio.parse_tensor`` or the constructor.
+    Its rows hold increasing, pairwise-distinct vertex sets in 1..n, so
+    the edges are wrapped as a ``Hypergraph``, not checked again.
     """
     rows = t.canonical_rows()
     originals = rows <= t.n
     # Row-major, so each row's original vertices come out consecutively.
     vertices = iter(rows[originals].tolist())
     sizes = originals.sum(axis=1).tolist()
-    return Hypergraph(
+    return Hypergraph._derived(
         t.n, tuple(tuple(itertools.islice(vertices, j)) for j in sizes)
     )

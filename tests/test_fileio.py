@@ -182,6 +182,7 @@ def test_tensor_parse_records_entry_lines():
         ("1 2 1/2\n", "has value 1/2, expected 1/1"),
         ("1 100000000000000000000 1/1\n", "outside"),
         ("-100000000000000000000 2 1/1\n", "outside"),
+        ("1 -9223372036854775808 1/1\n", "is not non-decreasing"),
     ],
 )
 def test_tensor_entry_validation(body, message):

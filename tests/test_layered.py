@@ -44,6 +44,12 @@ def test_rows_are_private_and_read_only():
         ([[1, 5, 6], [2, 3, 4], [1, 5, 6]], "rows 0 and 2 hold the same entry (1, 5, 6)"),
         ([[1, 5]], "shape"),
         ([[1.0, 5.0, 6.0]], "dtype"),
+        # compared, not subtracted: -2**63 - 5 would wrap to a positive step
+        ([[1, 5, -2**63]], "row 0: entry (1, 5, -9223372036854775808) is not non-decreasing"),
+        # checked before the cast to int64, which would wrap it to -1
+        (np.array([[1, 5, 6], [2**64 - 1, 5, 6]], np.uint64),
+         "row 1: entry (18446744073709551615, 5, 6) has index "
+         "18446744073709551615 above the int64 range"),
     ],
 )
 def test_constructor_names_the_first_bad_row(rows, message):
@@ -68,6 +74,8 @@ def test_constructor_rejects_bad_sizes():
         LayeredTensor(2**63 - 1, 2, np.empty((0, 2), dtype=np.int64))
     top = 2**63 - 1
     assert LayeredTensor(top - 1, 2, np.array([[1, top]])).dim == top
+    with pytest.raises(MalformedTensor, match="exceeds the int64 index range"):
+        build_e_adjacency(Hypergraph(top, ((1, 2),)))
 
 
 def test_empty_tensor_converts_both_ways():
